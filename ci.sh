@@ -36,6 +36,14 @@ cargo test -q --test fsck
 # coordinator) must be byte-identical to the single-process run, with
 # every kill accounted in leases_expired/work_requeued.
 cargo test -q --test shard_soak
+# Profiler differential gate: the dependence profiler must produce the
+# same ProfileData, field for field, as the reference profiler kept in its
+# tests, over the suite, 200 generated programs (faulting ones included)
+# and hand-written loop/recursion shapes; the sanitizer must accept each.
+cargo test -q -p parpat-profile --test differential
+# The benchmark is its own workspace, so nothing above compiles it: build
+# it against the current API and run its own tests.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 # Front-end fuzzing: random bytes and 10k-deep nesting must produce
 # structured diagnostics, never a panic or stack overflow.
 cargo test -q -p parpat-minilang --test fuzz

@@ -5,9 +5,12 @@
 //! CUs and CU graphs, and runs all five detectors (multi-loop pipeline,
 //! fusion, task parallelism, geometric decomposition, reduction). The result
 //! carries every intermediate artifact so callers can inspect any stage.
+//! The input artifacts sit behind `Arc`s, so a caller that caches them (the
+//! batch engine) shares one copy with every [`Analysis`] built from them.
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use parpat_cu::{build_cus, build_graph, CuGraph, CuSet, RegionId};
 use parpat_ir::event::Tee;
@@ -84,13 +87,13 @@ impl Default for AnalysisConfig {
 #[derive(Debug)]
 pub struct Analysis {
     /// The lowered program.
-    pub ir: IrProgram,
+    pub ir: Arc<IrProgram>,
     /// Profiler output.
-    pub profile: ProfileData,
+    pub profile: Arc<ProfileData>,
     /// The program execution tree.
-    pub pet: Pet,
+    pub pet: Arc<Pet>,
     /// All computational units.
-    pub cus: CuSet,
+    pub cus: Arc<CuSet>,
     /// CU graphs of the hotspot regions that were analyzed for tasks.
     pub graphs: Vec<CuGraph>,
     /// Detected multi-loop pipelines.
@@ -117,9 +120,9 @@ pub fn analyze_source(src: &str, cfg: &AnalysisConfig) -> Result<Analysis, Analy
 #[derive(Debug, Clone)]
 pub struct ProfiledRun {
     /// Profiler output.
-    pub profile: ProfileData,
+    pub profile: Arc<ProfileData>,
     /// The program execution tree.
-    pub pet: Pet,
+    pub pet: Arc<Pet>,
     /// Total dynamic IR instructions the run executed.
     pub insts: u64,
     /// `main`'s return value.
@@ -153,8 +156,8 @@ pub fn profile_ir_controlled(
         parpat_ir::run_function_captured(ir, entry, &[], &mut tee, limits, ctl)?
     };
     Ok(ProfiledRun {
-        profile: profiler.into_data(),
-        pet: pet_builder.into_pet(),
+        profile: Arc::new(profiler.into_data()),
+        pet: Arc::new(pet_builder.into_pet()),
         insts: capture.outcome.insts,
         return_value: capture.outcome.return_value,
         globals: capture.globals,
@@ -236,21 +239,22 @@ pub fn detect_patterns(
 }
 
 /// Stage entry point: assemble a full [`Analysis`] from its artifacts and
-/// the detector outputs.
+/// the detector outputs. Each artifact is taken owned or already shared; a
+/// shared one is not copied.
 pub fn assemble_analysis(
-    ir: IrProgram,
-    profile: ProfileData,
-    pet: Pet,
-    cus: CuSet,
+    ir: impl Into<Arc<IrProgram>>,
+    profile: impl Into<Arc<ProfileData>>,
+    pet: impl Into<Arc<Pet>>,
+    cus: impl Into<Arc<CuSet>>,
     detections: Detections,
 ) -> Analysis {
     let Detections { pipelines, fusions, graphs, tasks, geodecomp, reductions, loop_classes } =
         detections;
     Analysis {
-        ir,
-        profile,
-        pet,
-        cus,
+        ir: ir.into(),
+        profile: profile.into(),
+        pet: pet.into(),
+        cus: cus.into(),
         graphs,
         pipelines,
         fusions,

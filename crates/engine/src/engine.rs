@@ -1463,10 +1463,10 @@ impl<'e> ProgRun<'e> {
         let analysis = self.execute(Stage::Detect, |_| {
             let detections = detect_patterns(&ir, &prof.profile, &prof.pet, &cus, &cfg);
             assemble_analysis(
-                (*ir).clone(),
-                prof.profile.clone(),
-                prof.pet.clone(),
-                (*cus).clone(),
+                Arc::clone(&ir),
+                Arc::clone(&prof.profile),
+                Arc::clone(&prof.pet),
+                Arc::clone(&cus),
                 detections,
             )
         })?;

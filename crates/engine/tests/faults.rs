@@ -172,7 +172,14 @@ fn acceptance_mixed_batch_with_budget_and_panic_faults() {
         source: "fn main() {\n    let x = 0;\n    while true { x += 1; }\n    return x;\n}"
             .to_owned(),
     });
-    inputs.push(BatchInput { name: "panicky".to_owned(), source: healthy[0].source.clone() });
+    // The panicky program must share no artifact with a healthy one: were it
+    // a copy of one, whichever copy reached the memory tier first would
+    // answer the other from the cache, and the armed Detect panic would
+    // only fire when `panicky` happened to run first. An uncalled extra
+    // function changes the IR (and so every stage key) but not the run.
+    let panicky_source =
+        format!("{}\nfn panicky_only() {{\n    return 1;\n}}\n", healthy[0].source);
+    inputs.push(BatchInput { name: "panicky".to_owned(), source: panicky_source });
     let spinner_idx = 15;
     let panicky_idx = 16;
 

@@ -28,6 +28,7 @@
 #![warn(clippy::unwrap_used)]
 
 pub mod data;
+mod inthash;
 pub mod profiler;
 pub mod sanitize;
 

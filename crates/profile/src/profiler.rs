@@ -15,15 +15,26 @@
 //!
 //! The profiler keys loop context by `(loop id, dynamic instance, iteration)`
 //! so that re-entered inner loops and repeated calls never alias.
+//!
+//! Every access is an event, but almost every fact it reports is one the
+//! profile already holds, so the tables are shaped to notice that cheaply:
+//! a dependence equal to the last one recorded for its sink instruction and
+//! kind skips the set insert, and a line equal to the last one a per-loop
+//! entry recorded skips the line-set insert. Per-loop entries live in one
+//! vector per loop behind a flat `(loop, address)` index, cross-loop pairs
+//! in a flat `(x, y, address)` map, trip statistics in a vector by loop;
+//! [`DependenceProfiler::into_data`] nests them into [`ProfileData`]'s
+//! shape once. Every table keyed by address hashes with the crate's integer
+//! hasher instead of SipHash.
 
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use parpat_ir::event::{AccessKind, MemAccess, Observer};
 use parpat_ir::interp::{run_function, ExecLimits};
 use parpat_ir::{FuncId, InstId, IrProgram, LoopId, RuntimeError};
 
-use crate::data::{Dep, DepKind, DepSite, ProfileData};
+use crate::data::{AccessLines, Dep, DepKind, DepSite, LoopStats, ProfileData};
+use crate::inthash::IntMap;
 
 /// One entry of the dynamic loop stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,7 +47,8 @@ struct LoopFrame {
 /// One entry of the dynamic context chain: a call instruction (with a unique
 /// activation key) or a loop-header instruction (with a unique instance
 /// key). The chain is what lifts raw access-level dependences to
-/// statement-level edges for CU graphs.
+/// statement-level edges for CU graphs. It holds no iteration numbers, so a
+/// new iteration leaves it unchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ChainFrame {
     inst: InstId,
@@ -60,14 +72,37 @@ struct Shadow {
     last_read: Option<AccessRec>,
 }
 
+/// One loop's access lines, in order of first access, each entry with the
+/// last line it added to its read and write line sets: a repeat of that
+/// line is already there.
+#[derive(Debug, Default, Clone)]
+struct LoopLines {
+    entries: Vec<(u64, AccessLines)>,
+    last: Vec<[Option<u32>; 2]>,
+}
+
+/// The last dependence and lifted region pair inserted for one
+/// `(sink instruction, kind)`; an equal observation is already in its set.
+#[derive(Debug, Default, Clone, Copy)]
+struct LastInsert {
+    dep: Option<Dep>,
+    region: Option<(InstId, InstId)>,
+}
+
 /// The profiling observer. Drive it through [`profile`] /
 /// [`profile_function`], or attach it to your own interpreter run and call
 /// [`DependenceProfiler::into_data`] afterwards.
 pub struct DependenceProfiler<'p> {
     prog: &'p IrProgram,
+    /// Dependences, instruction counts and the run count; the per-loop
+    /// tables below are moved in by [`DependenceProfiler::into_data`].
     data: ProfileData,
-    shadow: HashMap<u64, Shadow>,
+    shadow: IntMap<u64, Shadow>,
     loop_stack: Vec<LoopFrame>,
+    /// The distinct loops on `loop_stack`, in order of first push.
+    live_loops: Vec<LoopId>,
+    /// How many frames of each loop are on `loop_stack` (indexed by loop).
+    on_stack: Vec<u32>,
     /// Interleaved call/loop context chain (see [`ChainFrame`]).
     chain: Vec<ChainFrame>,
     /// Whether each active function pushed a chain frame (the entry call
@@ -78,6 +113,19 @@ pub struct DependenceProfiler<'p> {
     /// loop/call event changes them.
     cached_stack: Option<Rc<[LoopFrame]>>,
     cached_chain: Option<Rc<[ChainFrame]>>,
+    /// Per-loop access lines (indexed by loop).
+    lines: Vec<LoopLines>,
+    /// `(loop, address)` → index into that loop's entries.
+    line_index: IntMap<(LoopId, u64), usize>,
+    /// `(loop, entry index)` for each live loop, for the access being
+    /// recorded.
+    touched: Vec<(LoopId, usize)>,
+    /// Cross-loop iteration pairs keyed by `(x, y, address)`.
+    cross_pairs: IntMap<(LoopId, LoopId, u64), (u64, u64)>,
+    /// Trip statistics per loop (indexed by loop; `None` until entered).
+    loop_stats: Vec<Option<LoopStats>>,
+    /// Indexed by `sink * 3 + kind`.
+    last_insert: Vec<LastInsert>,
 }
 
 impl<'p> DependenceProfiler<'p> {
@@ -88,19 +136,49 @@ impl<'p> DependenceProfiler<'p> {
         DependenceProfiler {
             prog,
             data,
-            shadow: HashMap::new(),
+            shadow: IntMap::default(),
             loop_stack: Vec::new(),
+            live_loops: Vec::new(),
+            on_stack: vec![0; prog.loop_count()],
             chain: Vec::new(),
             chain_pushed: Vec::new(),
             next_instance: 0,
             cached_stack: None,
             cached_chain: None,
+            lines: vec![LoopLines::default(); prog.loop_count()],
+            line_index: IntMap::default(),
+            touched: Vec::new(),
+            cross_pairs: IntMap::default(),
+            loop_stats: vec![None; prog.loop_count()],
+            last_insert: vec![LastInsert::default(); prog.inst_count() * 3],
         }
     }
 
     /// Consume the profiler and return the collected data.
     pub fn into_data(self) -> ProfileData {
-        self.data
+        let DependenceProfiler {
+            mut data, shadow, line_index, lines, cross_pairs, loop_stats, ..
+        } = self;
+        // The per-address tables go before the output is built, so the two
+        // are never live at once.
+        drop(shadow);
+        drop(line_index);
+        // Bulk-built in place: one sort per loop (addresses mostly arrive
+        // in order) instead of a tree insert per entry.
+        for (l, lines) in (0..).zip(lines) {
+            if !lines.entries.is_empty() {
+                data.loop_access_lines.insert(l, lines.entries.into_iter().collect());
+            }
+        }
+        for ((x, y, addr), pair) in cross_pairs {
+            data.cross_loop_pairs.entry((x, y)).or_default().insert(addr, pair);
+        }
+        for (l, stats) in (0..).zip(loop_stats) {
+            if let Some(stats) = stats {
+                data.loop_stats.insert(l, stats);
+            }
+        }
+        data
     }
 
     fn snapshot(&mut self) -> Rc<[LoopFrame]> {
@@ -178,102 +256,129 @@ impl<'p> DependenceProfiler<'p> {
         (DepSite::Intra, None)
     }
 
-    fn var_name_of(&self, inst: InstId) -> String {
-        let kind = &self.prog.insts[inst as usize].kind;
-        match kind.touched_name() {
-            Some(n) => n.to_owned(),
-            // Parameter-initialization stores are attributed to the call
-            // instruction.
-            None => match kind {
-                parpat_ir::InstKind::Call(callee) => format!("<args of {callee}>"),
-                _ => String::new(),
-            },
+    /// Add the access's line to the entry of every distinct live loop and
+    /// remember each entry's index in `touched`.
+    fn note_access_lines(&mut self, access: &MemAccess) {
+        self.touched.clear();
+        for &l in &self.live_loops {
+            let ll = &mut self.lines[l as usize];
+            let fresh = ll.entries.len();
+            let idx = *self.line_index.entry((l, access.addr)).or_insert(fresh);
+            if idx == fresh {
+                ll.entries.push((access.addr, AccessLines::default()));
+                ll.last.push([None; 2]);
+            }
+            let e = &mut ll.entries[idx].1;
+            let (last, set) = match access.kind {
+                AccessKind::Read => (&mut ll.last[idx][0], &mut e.read_lines),
+                AccessKind::Write => (&mut ll.last[idx][1], &mut e.write_lines),
+            };
+            if *last != Some(access.line) {
+                set.insert(access.line);
+                *last = Some(access.line);
+            }
+            if e.var_name.is_empty() {
+                e.var_name = var_name_of(self.prog, access.inst);
+            }
+            self.touched.push((l, idx));
         }
     }
 
-    fn note_access_lines(&mut self, access: &MemAccess) {
-        if self.loop_stack.is_empty() {
-            return;
+    /// The current access's line entry for live loop `l`.
+    fn touched_entry(&mut self, l: LoopId) -> Option<&mut AccessLines> {
+        let &(_, idx) = self.touched.iter().find(|(t, _)| *t == l)?;
+        Some(&mut self.lines[l as usize].entries[idx].1)
+    }
+
+    /// Record the dependence from `src` to the current access and return
+    /// its classification.
+    fn observe(
+        &mut self,
+        src: &AccessRec,
+        sink: InstId,
+        stack: &[LoopFrame],
+        chain: &[ChainFrame],
+        kind: DepKind,
+    ) -> (DepSite, Option<(u64, u64)>) {
+        let (site, iter_pair) = Self::classify(&src.stack, stack);
+        let last = &mut self.last_insert[sink as usize * 3 + kind as usize];
+        let dep = Dep { src: src.inst, sink, kind, site };
+        if last.dep != Some(dep) {
+            self.data.deps.insert(dep);
+            last.dep = Some(dep);
         }
-        let name = self.var_name_of(access.inst);
-        for frame in &self.loop_stack {
-            let entry = self
-                .data
-                .loop_access_lines
-                .entry(frame.l)
-                .or_default()
-                .entry(access.addr)
-                .or_default();
-            match access.kind {
-                AccessKind::Read => {
-                    entry.read_lines.insert(access.line);
-                }
-                AccessKind::Write => {
-                    entry.write_lines.insert(access.line);
-                }
-            }
-            if entry.var_name.is_empty() {
-                entry.var_name = name.clone();
-            }
+        let region = Self::lift(&src.chain, src.inst, chain, sink);
+        if last.region != Some(region) {
+            self.data.region_deps.insert((region.0, region.1, kind));
+            last.region = Some(region);
         }
+        (site, iter_pair)
     }
 
     fn on_read(&mut self, access: MemAccess) {
         self.note_access_lines(&access);
-        let snapshot = self.snapshot();
+        let stack = self.snapshot();
         let chain = self.chain_snapshot();
         let shadow = self.shadow.entry(access.addr).or_default();
-        if let Some(w) = &shadow.last_write {
-            let (site, iter_pair) = Self::classify(&w.stack, &snapshot);
-            self.data.deps.insert(Dep { src: w.inst, sink: access.inst, kind: DepKind::Raw, site });
-            let (src, sink) = Self::lift(&w.chain, w.inst, &chain, access.inst);
-            self.data.region_deps.insert((src, sink, DepKind::Raw));
-            if let (DepSite::CrossLoop { x, y }, Some((ix, iy))) = (site, iter_pair) {
+        let last_write = shadow.last_write.clone();
+        shadow.last_read = Some(AccessRec {
+            inst: access.inst,
+            stack: Rc::clone(&stack),
+            chain: Rc::clone(&chain),
+        });
+        let Some(w) = last_write else { return };
+        match self.observe(&w, access.inst, &stack, &chain, DepKind::Raw) {
+            (DepSite::CrossLoop { x, y }, Some(pair)) => {
                 // First read wins; the shadow write is by construction the
                 // last write before it.
-                self.data
-                    .cross_loop_pairs
-                    .entry((x, y))
-                    .or_default()
-                    .entry(access.addr)
-                    .or_insert((ix, iy));
+                self.cross_pairs.entry((x, y, access.addr)).or_insert(pair);
             }
-            if let DepSite::Carried { l, .. } = site {
-                if let Some(e) =
-                    self.data.loop_access_lines.get_mut(&l).and_then(|m| m.get_mut(&access.addr))
-                {
+            (DepSite::Carried { l, .. }, _) => {
+                if let Some(e) = self.touched_entry(l) {
                     e.inter_iteration = true;
                 }
             }
+            _ => {}
         }
-        shadow.last_read = Some(AccessRec { inst: access.inst, stack: snapshot, chain });
     }
 
     fn on_write(&mut self, access: MemAccess) {
         self.note_access_lines(&access);
-        let snapshot = self.snapshot();
+        let stack = self.snapshot();
         let chain = self.chain_snapshot();
         let shadow = self.shadow.entry(access.addr).or_default();
-        if let Some(r) = shadow.last_read.take() {
-            let (site, _) = Self::classify(&r.stack, &snapshot);
-            self.data.deps.insert(Dep { src: r.inst, sink: access.inst, kind: DepKind::War, site });
-            let (src, sink) = Self::lift(&r.chain, r.inst, &chain, access.inst);
-            self.data.region_deps.insert((src, sink, DepKind::War));
+        let last_read = shadow.last_read.take();
+        let last_write = shadow.last_write.replace(AccessRec {
+            inst: access.inst,
+            stack: Rc::clone(&stack),
+            chain: Rc::clone(&chain),
+        });
+        if let Some(r) = last_read {
+            self.observe(&r, access.inst, &stack, &chain, DepKind::War);
         }
-        if let Some(w) = &shadow.last_write {
-            let (site, _) = Self::classify(&w.stack, &snapshot);
-            self.data.deps.insert(Dep { src: w.inst, sink: access.inst, kind: DepKind::Waw, site });
-            let (src, sink) = Self::lift(&w.chain, w.inst, &chain, access.inst);
-            self.data.region_deps.insert((src, sink, DepKind::Waw));
-            if let DepSite::Carried { l, .. } = site {
-                if let Some(e) =
-                    self.data.loop_access_lines.get_mut(&l).and_then(|m| m.get_mut(&access.addr))
-                {
+        if let Some(w) = last_write {
+            if let (DepSite::Carried { l, .. }, _) =
+                self.observe(&w, access.inst, &stack, &chain, DepKind::Waw)
+            {
+                if let Some(e) = self.touched_entry(l) {
                     e.rewritten = true;
                 }
             }
         }
-        shadow.last_write = Some(AccessRec { inst: access.inst, stack: snapshot, chain });
+    }
+}
+
+/// The variable an access instruction touches, for reporting.
+fn var_name_of(prog: &IrProgram, inst: InstId) -> String {
+    let kind = &prog.insts[inst as usize].kind;
+    match kind.touched_name() {
+        Some(n) => n.to_owned(),
+        // Parameter-initialization stores are attributed to the call
+        // instruction.
+        None => match kind {
+            parpat_ir::InstKind::Call(callee) => format!("<args of {callee}>"),
+            _ => String::new(),
+        },
     }
 }
 
@@ -284,22 +389,19 @@ impl Observer for DependenceProfiler<'_> {
         call_inst: Option<InstId>,
         _is_recursive: bool,
     ) {
-        self.invalidate_snapshots();
-        match call_inst {
-            Some(inst) => {
-                let key = self.next_instance;
-                self.next_instance += 1;
-                self.chain.push(ChainFrame { inst, key });
-                self.chain_pushed.push(true);
-            }
-            None => self.chain_pushed.push(false),
+        if let Some(inst) = call_inst {
+            self.cached_chain = None;
+            let key = self.next_instance;
+            self.next_instance += 1;
+            self.chain.push(ChainFrame { inst, key });
         }
+        self.chain_pushed.push(call_inst.is_some());
     }
 
     fn exit_function(&mut self, _func: parpat_ir::FuncId) {
         if self.chain_pushed.pop().expect("exit_function without enter") {
             self.chain.pop();
-            self.invalidate_snapshots();
+            self.cached_chain = None;
         }
     }
 
@@ -307,14 +409,19 @@ impl Observer for DependenceProfiler<'_> {
         self.invalidate_snapshots();
         let instance = self.next_instance;
         self.next_instance += 1;
-        let stats = self.data.loop_stats.entry(l).or_default();
+        let stats = self.loop_stats[l as usize].get_or_insert_with(LoopStats::default);
         stats.first_entry = stats.first_entry.min(instance);
         self.loop_stack.push(LoopFrame { l, instance, iter: 0 });
+        let count = &mut self.on_stack[l as usize];
+        if *count == 0 {
+            self.live_loops.push(l);
+        }
+        *count += 1;
         self.chain.push(ChainFrame { inst: self.prog.loops[l as usize].head_inst, key: instance });
     }
 
     fn loop_iteration(&mut self, l: LoopId, iter: u64) {
-        self.invalidate_snapshots();
+        self.cached_stack = None;
         let top = self.loop_stack.last_mut().expect("loop_iteration outside loop");
         debug_assert_eq!(top.l, l);
         top.iter = iter;
@@ -324,8 +431,16 @@ impl Observer for DependenceProfiler<'_> {
         self.invalidate_snapshots();
         let top = self.loop_stack.pop().expect("exit_loop without enter");
         debug_assert_eq!(top.l, l);
+        let count = &mut self.on_stack[top.l as usize];
+        *count -= 1;
+        if *count == 0 {
+            // The frame that first put a loop on the stack is the last of
+            // its frames to leave, so its loop is the newest live one.
+            let newest = self.live_loops.pop();
+            debug_assert_eq!(newest, Some(top.l));
+        }
         self.chain.pop();
-        let stats = self.data.loop_stats.entry(l).or_default();
+        let stats = self.loop_stats[l as usize].get_or_insert_with(LoopStats::default);
         stats.executions += 1;
         stats.total_iterations += iterations;
         stats.max_iterations = stats.max_iterations.max(iterations);

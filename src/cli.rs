@@ -1085,8 +1085,22 @@ fn main() {
         assert!(run(&args(&["analyze", &path, "--hotspot", "100"])).is_ok());
     }
 
-    fn batch_dir() -> (String, String) {
-        let dir = std::env::temp_dir().join(format!("parpat-batch-{}", std::process::id()));
+    /// Removes a test's input directory when dropped.
+    struct RemoveOnDrop(std::path::PathBuf);
+
+    impl Drop for RemoveOnDrop {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// A fresh directory of batch inputs, its path and a cache path inside
+    /// it. Tests run in parallel, so each call gets a directory of its own:
+    /// a shared one would be rewritten under a sibling test's batch.
+    fn batch_dir() -> (RemoveOnDrop, String, String) {
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("parpat-batch-{}-{n}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir");
         std::fs::write(dir.join("red.ml"), REDUCTION_SRC).expect("write");
         std::fs::write(
@@ -1096,12 +1110,13 @@ fn main() {
         .expect("write");
         std::fs::write(dir.join("notes.txt"), "ignored").expect("write");
         let cache = dir.join("cache").to_string_lossy().into_owned();
-        (dir.to_string_lossy().into_owned(), cache)
+        let path = dir.to_string_lossy().into_owned();
+        (RemoveOnDrop(dir), path, cache)
     }
 
     #[test]
     fn batch_analyzes_directory_and_warm_run_is_cached() {
-        let (dir, cache) = batch_dir();
+        let (_inputs, dir, cache) = batch_dir();
         let cold = run(&args(&["batch", &dir, "--jobs", "2", "--cache-dir", &cache])).unwrap();
         assert!(cold.contains("red.ml"), "{cold}");
         assert!(cold.contains("pipe.ml"), "{cold}");
@@ -1120,7 +1135,7 @@ fn main() {
 
     #[test]
     fn batch_json_reports_programs_and_stats() {
-        let (dir, _) = batch_dir();
+        let (_inputs, dir, _) = batch_dir();
         let out = run(&args(&["batch", &dir, "--cache-dir", "none", "--json"])).unwrap();
         assert!(out.contains("\"programs\""), "{out}");
         assert!(out.contains("\"stats\""), "{out}");
@@ -1129,7 +1144,7 @@ fn main() {
 
     #[test]
     fn batch_rejects_bad_inputs() {
-        let (dir, _) = batch_dir();
+        let (_inputs, dir, _) = batch_dir();
         assert!(run(&args(&["batch", &dir, "--jobs", "0", "--cache-dir", "none"]))
             .unwrap_err()
             .contains("--jobs"));
@@ -1141,7 +1156,7 @@ fn main() {
     #[test]
     fn budget_flags_are_validated_like_hotspot() {
         let path = write_temp("lim.ml", REDUCTION_SRC);
-        let (dir, _) = batch_dir();
+        let (_inputs, dir, _) = batch_dir();
         for flag in ["--max-steps", "--timeout-ms", "--max-mem-cells"] {
             for bad in ["0", "-3", "zap", "1.5"] {
                 let err = run(&args(&["analyze", &path, flag, bad])).unwrap_err();
@@ -1157,7 +1172,7 @@ fn main() {
 
     #[test]
     fn retries_flag_is_validated_and_accepted() {
-        let (dir, _) = batch_dir();
+        let (_inputs, dir, _) = batch_dir();
         for bad in ["-1", "zap", "1.5"] {
             let err =
                 run(&args(&["batch", &dir, "--cache-dir", "none", "--retries", bad])).unwrap_err();
@@ -1169,7 +1184,7 @@ fn main() {
 
     #[test]
     fn resume_requires_a_cache_directory() {
-        let (dir, _) = batch_dir();
+        let (_inputs, dir, _) = batch_dir();
         let err = run(&args(&["batch", &dir, "--cache-dir", "none", "--resume"])).unwrap_err();
         assert!(err.contains("--resume needs a cache directory"), "{err}");
     }
@@ -1276,7 +1291,7 @@ fn main() {
 
     #[test]
     fn lint_directory_lints_every_ml_file() {
-        let (dir, _) = batch_dir();
+        let (_inputs, dir, _) = batch_dir();
         let out = run(&args(&["lint", &dir])).unwrap();
         assert!(out.contains("red.ml"), "{out}");
         assert!(out.contains("pipe.ml"), "{out}");
@@ -1361,7 +1376,7 @@ fn main() {
 
     #[test]
     fn batch_sanitize_flag_is_accepted_and_counted() {
-        let (dir, _) = batch_dir();
+        let (_inputs, dir, _) = batch_dir();
         let out = run(&args(&["batch", &dir, "--cache-dir", "none", "--sanitize"])).unwrap();
         assert!(out.contains(" ok "), "clean programs pass the sanitizer: {out}");
         assert!(out.contains("0 sanitizer reject(s)"), "{out}");
@@ -1391,7 +1406,7 @@ fn main() {
 
     #[test]
     fn batch_directory_order_is_sorted_and_deterministic() {
-        let (dir, _) = batch_dir();
+        let (_inputs, dir, _) = batch_dir();
         let run_once = || {
             let out = run(&args(&["batch", &dir, "--cache-dir", "none"])).unwrap();
             // Program lines only — the trailing stats include wall time.
