@@ -17,9 +17,6 @@ cargo test -q -p parpat-engine --test resume
 # Torn-write property: a journal truncated at EVERY byte position must
 # scan to exactly the complete-record prefix and resume without a panic.
 cargo test -q -p parpat-engine --test torn
-# Sharding ledger: fenced claims, lease recycling, zombie fencing,
-# foreign-run refusal, stale-lock recovery, in-process spawn fallback.
-cargo test -q -p parpat-engine --test shard
 # Crash-consistency harness: power-cut / EIO / ENOSPC injected at EVERY
 # mutating storage operation of a batch (simulated VFS) — zero panics,
 # outcomes byte-identical to the uninterrupted run, recovery accounted
@@ -27,15 +24,13 @@ cargo test -q -p parpat-engine --test shard
 # journal resumable.
 cargo test -q -p parpat-engine --test crashfs
 # fsck golden gate: every seeded corruption class (journal bit-rot, cache
-# record rot + truncation, orphaned lock and temp) must be detected under
-# its stable F-code, and `parpat fsck --repair` must restore a directory
-# that a resumed batch completes byte-identically.
+# record rot + truncation, orphaned temp) must be detected under its
+# stable F-code, and `parpat fsck --repair` must restore a directory that
+# a resumed batch completes byte-identically.
 cargo test -q --test fsck
-# Crash soak: under a seeded kill schedule plus a frozen worker,
-# `batch apps --workers 4` (and `--resume` after a SIGKILLed
-# coordinator) must be byte-identical to the single-process run, with
-# every kill accounted in leases_expired/work_requeued.
-cargo test -q --test shard_soak
+# Real-process kill-and-resume: `parpat batch apps` SIGKILLed mid-run must
+# `--resume` byte-identically to the uninterrupted run.
+cargo test -q --test kill_resume
 # Profiler differential gate: the dependence profiler must produce the
 # same ProfileData, field for field, as the reference profiler kept in its
 # tests, over the suite, 200 generated programs (faulting ones included)

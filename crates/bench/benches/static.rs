@@ -50,58 +50,6 @@ fn ssa_pass_breakdown() -> Vec<PassTiming> {
     acc
 }
 
-/// Wall time of one cold `parpat batch apps` run of the release binary,
-/// sharded across `workers` processes (1 = plain in-process batch). Gives
-/// the multi-process ledger a throughput yardstick against the
-/// single-process engine it must never corrupt.
-fn batch_wall(bin: &std::path::Path, workers: usize) -> Duration {
-    let dir =
-        std::env::temp_dir().join(format!("parpat-bench-shard-{workers}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut cmd = std::process::Command::new(bin);
-    cmd.args(["batch", "apps", "--json", "--cache-dir"]).arg(&dir);
-    if workers > 1 {
-        cmd.args(["--workers", &workers.to_string()]);
-    }
-    let start = Instant::now();
-    let out = cmd
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .status()
-        .expect("run release parpat");
-    let wall = start.elapsed();
-    assert!(out.success(), "batch apps --workers {workers} failed");
-    let _ = std::fs::remove_dir_all(&dir);
-    wall
-}
-
-/// 1-vs-N-worker suite throughput as a JSON fragment, or a skip marker
-/// when the release binary has not been built (plain `cargo bench` without
-/// the CI's preceding release build).
-fn shard_json(programs: usize) -> String {
-    const WORKERS: usize = 4;
-    let bin = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/release/parpat");
-    if !bin.exists() {
-        println!("static/shard          skipped (no release binary at {})", bin.display());
-        return "{\"skipped\": true}".to_owned();
-    }
-    let single = batch_wall(&bin, 1);
-    let sharded = batch_wall(&bin, WORKERS);
-    println!(
-        "static/shard          {programs} programs: 1 worker {:>10.3} ms, {WORKERS} workers {:>10.3} ms",
-        single.as_secs_f64() * 1e3,
-        sharded.as_secs_f64() * 1e3
-    );
-    format!(
-        "{{\"workers\": {WORKERS}, \"single_wall_ms\": {:.3}, \"sharded_wall_ms\": {:.3}, \
-         \"single_programs_per_sec\": {:.2}, \"sharded_programs_per_sec\": {:.2}}}",
-        single.as_secs_f64() * 1e3,
-        sharded.as_secs_f64() * 1e3,
-        programs as f64 / single.as_secs_f64(),
-        programs as f64 / sharded.as_secs_f64(),
-    )
-}
-
 fn main() {
     let programs = all_apps().len();
     let (lint_wall, diags) = lint_suite();
@@ -143,11 +91,10 @@ fn main() {
     let json = format!(
         "{{\"programs\": {programs}, \"passes\": {PASSES}, \
          \"lint\": {{\"wall_ms\": {:.3}, \"programs_per_sec\": {:.2}, \"diagnostics\": {diags}}}, \
-         \"ssa_passes\": [{}], \"shard\": {}}}\n",
+         \"ssa_passes\": [{}]}}\n",
         lint_wall.as_secs_f64() * 1e3,
         lint_tput,
         passes_json.join(", "),
-        shard_json(programs),
     );
     let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_static.json");
     std::fs::write(&out, json).expect("write BENCH_static.json");

@@ -242,9 +242,6 @@ struct BatchCounters {
     retries: AtomicU64,
     stall_requeued: AtomicU64,
     resumed: AtomicU64,
-    /// Stale fenced `prog` records discarded by journal replay (zombie
-    /// workers whose lease had been requeued before their result landed).
-    fenced_stale: AtomicU64,
     /// Journal appends that failed (disk fault); the journal poisons
     /// itself after the first, so every later program counts here too.
     journal_append_failed: AtomicU64,
@@ -534,7 +531,6 @@ impl Engine {
             ),
             None => (None, Replay::default()),
         };
-        counters.fenced_stale.store(replayed.fenced_stale, Ordering::Relaxed);
         let mut restored: HashMap<usize, StoredOutcome> = HashMap::new();
         for e in replayed.entries {
             if e.index < n {
@@ -615,10 +611,8 @@ impl Engine {
 
     /// Digest identifying this batch run: inputs (names + sources) plus
     /// every configuration knob that shapes the outputs. A journal is only
-    /// replayed into a batch with the same digest. Public so sharded
-    /// workers can verify they were launched against the same run their
-    /// coordinator journaled.
-    pub fn run_digest(&self, inputs: &[BatchInput]) -> u64 {
+    /// replayed into a batch with the same digest.
+    fn run_digest(&self, inputs: &[BatchInput]) -> u64 {
         let mut h = Fnv64::new();
         h.write(b"batch-run");
         h.write_u64(inputs.len() as u64);
@@ -785,10 +779,6 @@ impl Engine {
             retries: counters.retries.load(Ordering::Relaxed),
             stall_requeued: counters.stall_requeued.load(Ordering::Relaxed),
             resumed: counters.resumed.load(Ordering::Relaxed),
-            workers: 0,
-            leases_expired: 0,
-            work_requeued: 0,
-            fenced_stale_results: counters.fenced_stale.load(Ordering::Relaxed),
             journal_append_failed: counters.journal_append_failed.load(Ordering::Relaxed),
             requests_shed: counters.requests_shed.load(Ordering::Relaxed),
             deadline_exceeded: counters.deadline_exceeded.load(Ordering::Relaxed),
@@ -824,7 +814,7 @@ impl Engine {
 }
 
 /// Freeze a finished program outcome into its journal form.
-pub(crate) fn store_outcome(po: &ProgramOutcome) -> StoredOutcome {
+fn store_outcome(po: &ProgramOutcome) -> StoredOutcome {
     match &po.outcome {
         AnalysisOutcome::Ok(r) => {
             StoredOutcome::Ok { report: (**r).clone(), fully_cached: po.fully_cached }

@@ -1,10 +1,10 @@
 //! `parpat fsck` — offline scrubber for a run directory.
 //!
 //! Walks everything the durability layer persists under a cache/run
-//! directory — the journal/ledger (`journal.wal`), the append lock
-//! (`journal.lock`), and the disk cache tier (`*.rec`) — and validates
-//! each against its own invariants, reporting damage under **stable
-//! diagnostic codes** (like `parpat lint`'s P/L/V codes):
+//! directory — the journal (`journal.wal`) and the disk cache tier
+//! (`*.rec`) — and validates each against its own invariants, reporting
+//! damage under **stable diagnostic codes** (like `parpat lint`'s P/L/V
+//! codes):
 //!
 //! | code | severity | meaning |
 //! |------|----------|---------|
@@ -12,29 +12,30 @@
 //! | F002 | warning  | journal ends mid-record (torn append — the expected cost of a crash) |
 //! | F003 | error    | journal record checksum mismatch (bit-rot inside a durable record) |
 //! | F004 | error    | journal record complete but malformed |
-//! | F010 | warning  | double claim for one index (broken append lock; replay fences it) |
-//! | F011 | error    | claim fence not monotonically increasing (protocol violation) |
-//! | F012 | info     | stale release (release not matching the active lease) |
-//! | F013 | info     | fenced-stale result (zombie worker's late record; replay discards it) |
-//! | F015 | warning  | orphaned append lock (no live writer should exist offline) |
+//! | F010 | info     | legacy ledger records (`claim`/`beat`/`release` from retired multi-process batches), ignored by resume |
 //! | F020 | error    | cache record malformed |
 //! | F021 | error    | cache record checksum mismatch (bit-rot) |
 //! | F022 | warning  | orphaned cache temp file (crash between write and rename) |
+//!
+//! F011–F013 and F015 belonged to that ledger's fencing and lock checks;
+//! they are retired and not reused.
 //!
 //! `--repair` quarantines what is damaged and restores what the engine's
 //! own recovery expects: the journal's damaged tail is copied to
 //! `journal.wal.tail.corrupt` and the file truncated to its last good
 //! record (exactly what `--resume` would do, made explicit and
-//! inspectable); an unreadable journal is quarantined whole; rotted
-//! cache records are renamed to `.corrupt` (the cache regenerates the
-//! slot); orphaned locks and temps are removed. Repair never deletes the
-//! only copy of anything — damage is moved aside, not destroyed.
+//! inspectable); an unreadable journal is quarantined whole as
+//! `journal.wal.corrupt`; rotted cache records are renamed to `.corrupt`
+//! (the cache regenerates the slot); orphaned temps are removed. A journal
+//! quarantine takes the first of `….corrupt`, `….corrupt.1`, … that the
+//! directory does not hold yet, so repair never deletes the only copy of
+//! anything — damage is moved aside, not destroyed, however often it is
+//! repaired.
 //!
 //! Everything goes through a [`Vfs`] handle, so the crash-consistency
 //! harness can corrupt a simulated disk and assert fsck finds every
 //! seeded fault.
 
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 use crate::cache::{check_record, RecordIssue};
@@ -48,7 +49,7 @@ pub enum Severity {
     Info,
     /// Unexpected but handled (or handleable) state.
     Warning,
-    /// Data damage or a protocol violation.
+    /// Data damage.
     Error,
 }
 
@@ -82,8 +83,8 @@ pub struct Finding {
 /// The scrub's outcome: every finding plus scan coverage counts.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FsckReport {
-    /// All findings, in deterministic order (journal first, in record
-    /// order; then the lock; then cache files in sorted path order).
+    /// All findings, in deterministic order (journal first, then cache
+    /// files in sorted path order).
     pub findings: Vec<Finding>,
     /// Complete journal records scanned.
     pub journal_records: u64,
@@ -154,22 +155,27 @@ impl FsckReport {
 pub fn fsck(vfs: &dyn Vfs, dir: &Path, repair: bool) -> std::io::Result<FsckReport> {
     let mut report = FsckReport::default();
     let listing = vfs.list_dir(dir)?;
-    check_journal(vfs, dir, repair, &mut report);
-    check_lock(vfs, dir, repair, &mut report, &listing);
+    check_journal(vfs, dir, repair, &mut report, &listing);
     check_cache(vfs, repair, &mut report, &listing);
     Ok(report)
 }
 
-/// Validate the journal: header, per-record integrity, and the ledger's
-/// fencing invariants over the record sequence.
-fn check_journal(vfs: &dyn Vfs, dir: &Path, repair: bool, report: &mut FsckReport) {
+/// Validate the journal: header and per-record integrity, plus a count of
+/// the legacy ledger records it still holds.
+fn check_journal(
+    vfs: &dyn Vfs,
+    dir: &Path,
+    repair: bool,
+    report: &mut FsckReport,
+    listing: &[PathBuf],
+) {
     let wal = journal_path(dir);
     let Ok(bytes) = vfs.read(&wal) else {
         return; // No journal is a valid state (cache-only directory).
     };
     let Some(parsed) = scan(&bytes) else {
         let repaired = repair.then(|| {
-            let tomb = quarantine_name(&wal, "corrupt");
+            let tomb = quarantine_name(&wal, "corrupt", listing);
             match vfs.rename(&wal, &tomb) {
                 Ok(()) => format!("quarantined as {}", file_name(&tomb)),
                 Err(e) => format!("quarantine failed: {e}"),
@@ -197,7 +203,7 @@ fn check_journal(vfs: &dyn Vfs, dir: &Path, repair: bool, report: &mut FsckRepor
             TailIssue::Malformed => ("F004", Severity::Error, "complete record does not parse"),
         };
         let repaired = repair.then(|| {
-            let tomb = quarantine_name(&wal, "tail.corrupt");
+            let tomb = quarantine_name(&wal, "tail.corrupt", listing);
             let quarantine = vfs.create_sync(&tomb, &bytes[valid_end..]);
             match quarantine.and_then(|()| vfs.truncate_sync(&wal, valid_end as u64)) {
                 Ok(()) => format!(
@@ -215,120 +221,18 @@ fn check_journal(vfs: &dyn Vfs, dir: &Path, repair: bool, report: &mut FsckRepor
             repaired,
         });
     }
-    check_fencing(&wal, &parsed.records, report);
-}
-
-/// Walk the record sequence with the same rules [`crate::journal::replay`]
-/// applies, flagging every state the protocol only reaches through a
-/// fault: duplicate claims (broken append lock), non-monotone fences
-/// (protocol violation), stale releases and fenced-out results (normal
-/// crash residue, reported as info so an operator can see recovery at
-/// work).
-fn check_fencing(wal: &Path, records: &[(Record, usize)], report: &mut FsckReport) {
-    let mut claims: HashMap<usize, (u64, u64)> = HashMap::new();
-    let mut completed: HashMap<usize, ()> = HashMap::new();
-    let mut max_fence = 0u64;
-    let mut finding = |code, severity, detail| {
+    let legacy = parsed.records.iter().filter(|(r, _)| matches!(r, Record::Legacy)).count();
+    if legacy > 0 {
         report.findings.push(Finding {
-            code,
-            severity,
-            path: wal.to_path_buf(),
-            detail,
+            code: "F010",
+            severity: Severity::Info,
+            path: wal,
+            detail: format!(
+                "{legacy} legacy ledger record(s) (claim/beat/release from a multi-process batch); ignored by resume"
+            ),
             repaired: None,
         });
-    };
-    for (i, (rec, _)) in records.iter().enumerate() {
-        match rec {
-            Record::Claim { index, worker, fence, .. } => {
-                if *fence <= max_fence {
-                    finding(
-                        "F011",
-                        Severity::Error,
-                        format!(
-                            "record {i}: claim on index {index} reuses fence {fence} (high water {max_fence}) — fencing must be monotone"
-                        ),
-                    );
-                }
-                max_fence = max_fence.max(*fence);
-                if completed.contains_key(index) {
-                    continue;
-                }
-                if let Some((f, w)) = claims.get(index) {
-                    finding(
-                        "F010",
-                        Severity::Warning,
-                        format!(
-                            "record {i}: index {index} claimed by worker {worker} fence {fence} while worker {w} fence {f} holds it — the append lock was broken; replay fences the loser"
-                        ),
-                    );
-                }
-                let cand = (*fence, *worker);
-                let cur = claims.entry(*index).or_insert(cand);
-                if cand < *cur {
-                    *cur = cand;
-                }
-            }
-            Record::Beat { fence, .. } => max_fence = max_fence.max(*fence),
-            Record::Release { index, worker, fence } => {
-                if claims.get(index) == Some(&(*fence, *worker)) {
-                    claims.remove(index);
-                } else {
-                    finding(
-                        "F012",
-                        Severity::Info,
-                        format!(
-                            "record {i}: release of index {index} by worker {worker} fence {fence} does not match the active lease (stale release; ignored on replay)"
-                        ),
-                    );
-                }
-            }
-            Record::Prog(e) => {
-                max_fence = max_fence.max(e.fence);
-                let accepted = !completed.contains_key(&e.index)
-                    && (e.fence == 0 || claims.get(&e.index) == Some(&(e.fence, e.worker)));
-                if accepted {
-                    claims.remove(&e.index);
-                    completed.insert(e.index, ());
-                } else {
-                    finding(
-                        "F013",
-                        Severity::Info,
-                        format!(
-                            "record {i}: result for index {} from worker {} fence {} is fenced out (zombie worker; discarded on replay)",
-                            e.index, e.worker, e.fence
-                        ),
-                    );
-                }
-            }
-        }
     }
-}
-
-/// An append lock with no live writer: fsck runs offline, so any lock is
-/// a leftover. Repair removes it (the fencing tokens make this safe even
-/// if a writer *does* race us — its next claim is detectably stale).
-fn check_lock(
-    vfs: &dyn Vfs,
-    dir: &Path,
-    repair: bool,
-    report: &mut FsckReport,
-    listing: &[PathBuf],
-) {
-    let lock = dir.join("journal.lock");
-    if !listing.contains(&lock) {
-        return;
-    }
-    let repaired = repair.then(|| match vfs.remove_file(&lock) {
-        Ok(()) => "removed".to_owned(),
-        Err(e) => format!("removal failed: {e}"),
-    });
-    report.findings.push(Finding {
-        code: "F015",
-        severity: Severity::Warning,
-        path: lock,
-        detail: "orphaned append lock (no writer should be live during fsck)".to_owned(),
-        repaired,
-    });
 }
 
 /// Validate every disk cache record and flag crash-orphaned temp files.
@@ -387,12 +291,15 @@ fn check_cache(vfs: &dyn Vfs, repair: bool, report: &mut FsckReport, listing: &[
 }
 
 /// `path` with `suffix` appended to its full file name (unlike
-/// `with_extension`, which would clobber `.wal`).
-fn quarantine_name(path: &Path, suffix: &str) -> PathBuf {
-    let mut name = path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
-    name.push('.');
-    name.push_str(suffix);
-    path.with_file_name(name)
+/// `with_extension`, which would clobber `.wal`), numbered `.1`, `.2`, …
+/// past any name `listing` already holds so an earlier quarantine is
+/// never overwritten.
+fn quarantine_name(path: &Path, suffix: &str, listing: &[PathBuf]) -> PathBuf {
+    let name = format!("{}.{suffix}", file_name(path));
+    (0..)
+        .map(|n| path.with_file_name(if n == 0 { name.clone() } else { format!("{name}.{n}") }))
+        .find(|p| !listing.contains(p))
+        .expect("some numbered name is free")
 }
 
 fn file_name(path: &Path) -> String {
@@ -407,10 +314,9 @@ mod tests {
     use std::sync::Arc;
 
     use super::*;
+    use crate::digest::hash_bytes;
     use crate::error::{EngineError, ErrorKind};
-    use crate::journal::{
-        header_bytes, render_record, Journal, JournalEntry, Record, StoredOutcome,
-    };
+    use crate::journal::{header_bytes, render_record, Journal, JournalEntry, StoredOutcome};
     use crate::stage::Stage;
     use crate::vfs::SimFs;
 
@@ -451,14 +357,13 @@ mod tests {
         let n = bytes.len();
         bytes[n - 2] ^= 0x01;
         vfs.create_sync(&wal, &bytes).unwrap();
-        // An orphaned lock, an orphaned temp, and a rotted cache record.
-        vfs.create_sync(&dir.join("journal.lock"), b"pid 1 seq 0\n").unwrap();
+        // An orphaned temp and a rotted cache record.
         vfs.create_sync(&dir.join("00000000000000aa.tmp.1.2"), b"partial").unwrap();
         vfs.create_sync(&dir.join("00000000000000bb.rec"), b"parpat-rec-v2\nnot a record").unwrap();
 
         let report = fsck(vfs.as_ref(), &dir, false).unwrap();
         let codes: Vec<&str> = report.findings.iter().map(|f| f.code).collect();
-        assert_eq!(codes, vec!["F003", "F015", "F022", "F020"]);
+        assert_eq!(codes, vec!["F003", "F022", "F020"]);
         assert_eq!(report.errors_remaining(), 2);
     }
 
@@ -471,7 +376,6 @@ mod tests {
         let n = bytes.len();
         bytes[n - 2] ^= 0x01;
         vfs.create_sync(&wal, &bytes).unwrap();
-        vfs.create_sync(&dir.join("journal.lock"), b"pid 1 seq 0\n").unwrap();
         vfs.create_sync(&dir.join("00000000000000bb.rec"), b"garbage").unwrap();
 
         let report = fsck(vfs.as_ref(), &dir, true).unwrap();
@@ -501,27 +405,52 @@ mod tests {
     }
 
     #[test]
-    fn fencing_anomalies_map_to_their_codes() {
+    fn legacy_ledger_records_are_one_info_finding() {
         let vfs = Arc::new(SimFs::new());
         let dir = PathBuf::from("/run");
-        let wal = journal_path(&dir);
         let mut bytes = header_bytes(0xbeef).into_bytes();
-        for rec in [
-            Record::Claim { index: 0, worker: 1, fence: 3, lease_ms: 100 },
-            // Double claim under a *reused* fence: F011 + F010.
-            Record::Claim { index: 0, worker: 2, fence: 3, lease_ms: 100 },
-            // Release that matches nothing: F012.
-            Record::Release { index: 7, worker: 9, fence: 1 },
-            // Fenced-out zombie result: F013.
-            Record::Prog(entry(0, 9, 2)),
-        ] {
-            bytes.extend_from_slice(&render_record(&rec));
+        for head in ["claim 0 1 1 500", "beat 0 1 1", "release 7 9 1"] {
+            let payload = format!("{head}\n");
+            let sum = hash_bytes(payload.as_bytes());
+            bytes.extend_from_slice(
+                format!("rec {} {sum:016x}\n{payload}", payload.len()).as_bytes(),
+            );
         }
-        vfs.create_sync(&wal, &bytes).unwrap();
+        bytes.extend_from_slice(&render_record(&entry(0, 1, 1)));
+        vfs.create_sync(&journal_path(&dir), &bytes).unwrap();
         let report = fsck(vfs.as_ref(), &dir, false).unwrap();
+        assert_eq!(report.journal_records, 4);
         let codes: Vec<&str> = report.findings.iter().map(|f| f.code).collect();
-        assert_eq!(codes, vec!["F011", "F010", "F012", "F013"]);
-        assert_eq!(report.errors_remaining(), 1, "only the fence reuse is an error");
+        assert_eq!(codes, vec!["F010"]);
+        assert_eq!(report.findings[0].severity, Severity::Info);
+        assert!(report.findings[0].detail.starts_with("3 legacy ledger record(s)"));
+        assert_eq!(report.errors_remaining(), 0);
+    }
+
+    #[test]
+    fn repeated_repairs_keep_every_quarantined_tail() {
+        let vfs = Arc::new(SimFs::new());
+        let dir = run_dir(&vfs);
+        let wal = journal_path(&dir);
+        let mut tails = Vec::new();
+        for torn in ["rec 999\nprog 0", "rec 998\nprog 1"] {
+            let mut bytes = vfs.durable(&wal).unwrap();
+            let good = bytes.len();
+            bytes.extend_from_slice(torn.as_bytes());
+            vfs.create_sync(&wal, &bytes).unwrap();
+            tails.push(bytes[good..].to_vec());
+            let report = fsck(vfs.as_ref(), &dir, true).unwrap();
+            assert_eq!(report.findings[0].code, "F002");
+        }
+        assert_eq!(vfs.durable(&dir.join("journal.wal.tail.corrupt")), Some(tails[0].clone()));
+        assert_eq!(vfs.durable(&dir.join("journal.wal.tail.corrupt.1")), Some(tails[1].clone()));
+        // Whole-journal quarantines number the same way.
+        for _ in 0..2 {
+            vfs.create_sync(&wal, b"\x00not a journal\n").unwrap();
+            assert_eq!(fsck(vfs.as_ref(), &dir, true).unwrap().findings[0].code, "F001");
+        }
+        assert!(vfs.durable(&dir.join("journal.wal.corrupt")).is_some());
+        assert!(vfs.durable(&dir.join("journal.wal.corrupt.1")).is_some());
     }
 
     #[test]

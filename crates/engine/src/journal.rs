@@ -1,5 +1,5 @@
-//! The batch journal: a write-ahead log doubling as a work-distribution
-//! ledger.
+//! The batch journal: a single-writer write-ahead log of finished
+//! programs.
 //!
 //! A batch writes one fsynced record per *finished* program into
 //! `journal.wal` under the cache directory, keyed by a run digest over the
@@ -8,28 +8,13 @@
 //! every program with a complete record is restored byte-identically from
 //! its record and skipped; only the unfinished tail is re-analyzed.
 //!
-//! Since the sharded-batch work (`parpat batch --workers N`) the journal
-//! carries four record kinds, not one:
-//!
-//! - `prog <idx> <worker> <fence> ...` — a finished program (the PR-4
-//!   record, now stamped with the worker that produced it and the fencing
-//!   token of its lease; single-process batches write `worker 0 fence 0`).
-//! - `claim <idx> <worker> <fence> <lease_ms>` — worker `worker` took a
-//!   lease on batch index `idx` under monotonically-increasing fencing
-//!   token `fence`.
-//! - `beat <idx> <worker> <fence>` — lease renewal heartbeat.
-//! - `release <idx> <worker> <fence>` — the lease was given up (worker
-//!   done-elsewhere, or the coordinator expired it); the index is
-//!   claimable again.
-//!
-//! [`replay`] folds a record sequence into the set of completed programs
-//! deterministically: a `prog` under a fencing token is accepted only if
-//! that token still holds the index's active claim, so a zombie worker —
-//! SIGKILLed, lease expired, index requeued, yet its stale record arrives
-//! anyway — is detected (`fenced_stale`) and discarded rather than
-//! clobbering the requeued result. When two `claim` records race for one
-//! index (a broken append lock), the lowest `(fence, worker)` pair wins on
-//! replay, so every process derives the same owner.
+//! A record's head is `prog <idx> <worker> <fence> ok|degraded|err ...`.
+//! The worker and fence fields are left over from a multi-process ledger
+//! that older releases ran over this file; every append now writes `0 0`.
+//! Journals written by that ledger also hold `claim`, `beat` and `release`
+//! records. [`scan`] still parses them, as [`Record::Legacy`], so that a
+//! resume does not stop at the first of them and drop every result after
+//! it; [`replay`] skips them.
 //!
 //! The format is torn-write tolerant by construction: the file is a header
 //! line followed by length-prefixed records, and [`scan`] stops at the
@@ -54,7 +39,7 @@
 //! are refused instead of risking interleaved garbage after a partial
 //! record, and the engine accounts each refusal.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -99,157 +84,55 @@ pub enum StoredOutcome {
     Err(EngineError),
 }
 
-/// One completed-program record: which batch index finished, how, and
-/// under whose lease. Single-process batches write `worker 0, fence 0`
-/// (the unfenced record is always accepted on replay).
+/// One completed-program record: which batch index finished and how.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JournalEntry {
     /// Batch input index.
     pub index: usize,
-    /// Worker id that produced the result (0 = in-process).
+    /// Worker id of the multi-process ledger that wrote legacy records;
+    /// appends write 0.
     pub worker: u64,
-    /// Fencing token of the lease the result was produced under
-    /// (0 = unfenced single-process append).
+    /// Fencing token of that ledger's lease; appends write 0.
     pub fence: u64,
     /// The program's outcome.
     pub outcome: StoredOutcome,
 }
 
-/// One journal record of any kind.
+/// One journal record.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Record {
     /// A finished program.
     Prog(JournalEntry),
-    /// Worker `worker` leased batch index `index` under fencing token
-    /// `fence`, promising a heartbeat at least every `lease_ms`.
-    Claim {
-        /// Batch input index being leased.
-        index: usize,
-        /// Claiming worker id.
-        worker: u64,
-        /// Fencing token (monotonically increasing across the journal).
-        fence: u64,
-        /// Lease duration the worker promised to renew within.
-        lease_ms: u64,
-    },
-    /// Lease renewal heartbeat for an active claim.
-    Beat {
-        /// Leased batch index.
-        index: usize,
-        /// Renewing worker id.
-        worker: u64,
-        /// Fencing token of the renewed lease.
-        fence: u64,
-    },
-    /// The lease was given up (by the worker or by the coordinator after
-    /// expiry); the index is claimable again under a higher fence.
-    Release {
-        /// Batch index whose lease ends.
-        index: usize,
-        /// Worker id whose lease ends.
-        worker: u64,
-        /// Fencing token of the ended lease.
-        fence: u64,
-    },
+    /// A `claim`, `beat` or `release` record of the retired multi-process
+    /// ledger: well-formed, but carrying nothing replay uses.
+    Legacy,
 }
 
-/// A lease that is still open after [`replay`]: its index has neither a
-/// matching `release` nor an accepted `prog` record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OpenClaim {
-    /// Leased batch index.
-    pub index: usize,
-    /// Owning worker id.
-    pub worker: u64,
-    /// Fencing token of the lease.
-    pub fence: u64,
-}
-
-/// Deterministic fold of a record sequence: completed programs, leases
-/// still open, stale results discarded, and the high-water fencing token.
+/// The completed programs a journal holds.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct Replay {
-    /// Accepted completed programs, ordered by batch index.
+    /// One entry per completed batch index, ordered by index.
     pub entries: Vec<JournalEntry>,
-    /// Leases with no matching release and no accepted result, ordered by
-    /// index.
-    pub open_claims: Vec<OpenClaim>,
-    /// `prog` records discarded because their fencing token no longer held
-    /// the index's claim (zombie workers) or the index already completed.
-    pub fenced_stale: u64,
-    /// Highest fencing token seen; the next claim must use a larger one.
-    pub max_fence: u64,
 }
 
-/// Fold records into completion state. The rules, applied in record
-/// order:
-///
-/// - `claim`: ignored if the index already completed. If the index is
-///   already claimed, the *lowest* `(fence, worker)` pair keeps the lease
-///   — duplicate claims only arise from a broken append lock, and every
-///   replayer must pick the same winner.
-/// - `release`: ends the claim only if `(fence, worker)` matches the
-///   active one (a stale release cannot evict a newer lease).
-/// - `prog` with `fence == 0`: unfenced single-process record, accepted
-///   unless the index already completed.
-/// - `prog` with `fence > 0`: accepted only while `(fence, worker)` holds
-///   the index's active claim; otherwise counted in `fenced_stale` and
-///   discarded — this is what makes a zombie worker's late result
-///   harmless.
+/// Fold records into the completed programs: the first `prog` record of
+/// each index wins. Every `prog` in a journal with a matching run digest is
+/// a complete, checksummed result for that input under that configuration,
+/// so a later duplicate (a legacy ledger could write two) is the same
+/// result again. Legacy records are skipped.
 pub fn replay<'a>(records: impl IntoIterator<Item = &'a Record>) -> Replay {
     let mut completed: BTreeMap<usize, JournalEntry> = BTreeMap::new();
-    let mut claims: HashMap<usize, (u64, u64)> = HashMap::new();
-    let mut fenced_stale = 0u64;
-    let mut max_fence = 0u64;
     for rec in records {
-        match rec {
-            Record::Claim { index, worker, fence, .. } => {
-                max_fence = max_fence.max(*fence);
-                if completed.contains_key(index) {
-                    continue;
-                }
-                let cand = (*fence, *worker);
-                let cur = claims.entry(*index).or_insert(cand);
-                if cand < *cur {
-                    *cur = cand;
-                }
-            }
-            Record::Beat { fence, .. } => {
-                max_fence = max_fence.max(*fence);
-            }
-            Record::Release { index, worker, fence } => {
-                if claims.get(index) == Some(&(*fence, *worker)) {
-                    claims.remove(index);
-                }
-            }
-            Record::Prog(e) => {
-                max_fence = max_fence.max(e.fence);
-                if completed.contains_key(&e.index) {
-                    fenced_stale += 1;
-                    continue;
-                }
-                if e.fence == 0 || claims.get(&e.index) == Some(&(e.fence, e.worker)) {
-                    claims.remove(&e.index);
-                    completed.insert(e.index, e.clone());
-                } else {
-                    fenced_stale += 1;
-                }
-            }
+        if let Record::Prog(e) = rec {
+            completed.entry(e.index).or_insert_with(|| e.clone());
         }
     }
-    let mut open_claims: Vec<OpenClaim> = claims
-        .into_iter()
-        .map(|(index, (fence, worker))| OpenClaim { index, worker, fence })
-        .collect();
-    open_claims.sort_by_key(|c| c.index);
-    Replay { entries: completed.into_values().collect(), open_claims, fenced_stale, max_fence }
+    Replay { entries: completed.into_values().collect() }
 }
 
 /// An open, append-only journal. Appends are serialized through a mutex
 /// and fsynced (`sync_data`) one record at a time, so every record the
-/// file contains describes a program whose results are durable. (Workers
-/// in a sharded batch append through [`crate::shard`]'s lock-file ledger
-/// instead — this handle covers the single-process path.)
+/// file contains describes a program whose results are durable.
 ///
 /// The first append that fails **poisons** the handle: the file may hold
 /// a partial record past the last valid boundary, and appending more
@@ -323,7 +206,7 @@ impl Journal {
     /// after the record is durable. After the first failure the handle is
     /// poisoned and every later append is refused (see [`Journal`]).
     pub fn append(&self, entry: &JournalEntry) -> std::io::Result<()> {
-        let bytes = render_record(&Record::Prog(entry.clone()));
+        let bytes = render_record(entry);
         let mut poisoned = lock_recover(&self.poisoned);
         if *poisoned {
             return Err(std::io::Error::other(
@@ -345,7 +228,7 @@ impl Journal {
     }
 }
 
-/// The journal header line for run `run` (shared with the shard ledger).
+/// The journal header line for run `run`.
 pub fn header_bytes(run: u64) -> String {
     format!("{MAGIC} {run:016x}\n")
 }
@@ -485,77 +368,66 @@ fn parse_csv(field: &str) -> Option<Vec<u32>> {
     field.split(',').map(|t| t.parse().ok()).collect()
 }
 
-/// Serialize one record into its length-prefixed wire form (shared by the
-/// in-process [`Journal`] and the multi-process shard ledger).
-pub fn render_record(rec: &Record) -> Vec<u8> {
-    let (head, body) = match rec {
-        Record::Claim { index, worker, fence, lease_ms } => {
-            (format!("claim {index} {worker} {fence} {lease_ms}"), Vec::new())
+/// Serialize one completed-program record into its checksummed,
+/// length-prefixed wire form.
+pub fn render_record(entry: &JournalEntry) -> Vec<u8> {
+    let (head, body) = match &entry.outcome {
+        StoredOutcome::Ok { report: r, fully_cached } => {
+            let head = format!(
+                "prog {} {} {} ok {} {} {} {} {} {} {} {} {} {} {} {}",
+                entry.index,
+                entry.worker,
+                entry.fence,
+                u8::from(*fully_cached),
+                r.insts,
+                r.pipelines,
+                r.fusions,
+                r.reductions,
+                r.geodecomp,
+                r.task_regions,
+                r.static_doall,
+                csv(&r.input_sensitive),
+                csv(&r.consistency_errors),
+                r.summary.len(),
+                r.ranking.len(),
+            );
+            let mut body = Vec::with_capacity(r.summary.len() + r.ranking.len());
+            body.extend_from_slice(r.summary.as_bytes());
+            body.extend_from_slice(r.ranking.as_bytes());
+            (head, body)
         }
-        Record::Beat { index, worker, fence } => {
-            (format!("beat {index} {worker} {fence}"), Vec::new())
+        StoredOutcome::Degraded(d) => {
+            let head = format!(
+                "prog {} {} {} degraded {} {} {} {} {} {} {} {}",
+                entry.index,
+                entry.worker,
+                entry.fence,
+                d.reason.stage.name(),
+                d.reason.kind.name(),
+                d.loops,
+                d.cus,
+                d.regions,
+                csv(&d.doall_candidates),
+                d.reason.detail.len(),
+                d.summary.len(),
+            );
+            let mut body = Vec::with_capacity(d.reason.detail.len() + d.summary.len());
+            body.extend_from_slice(d.reason.detail.as_bytes());
+            body.extend_from_slice(d.summary.as_bytes());
+            (head, body)
         }
-        Record::Release { index, worker, fence } => {
-            (format!("release {index} {worker} {fence}"), Vec::new())
+        StoredOutcome::Err(e) => {
+            let head = format!(
+                "prog {} {} {} err {} {} {}",
+                entry.index,
+                entry.worker,
+                entry.fence,
+                e.stage.name(),
+                e.kind.name(),
+                e.detail.len(),
+            );
+            (head, e.detail.as_bytes().to_vec())
         }
-        Record::Prog(entry) => match &entry.outcome {
-            StoredOutcome::Ok { report: r, fully_cached } => {
-                let head = format!(
-                    "prog {} {} {} ok {} {} {} {} {} {} {} {} {} {} {} {}",
-                    entry.index,
-                    entry.worker,
-                    entry.fence,
-                    u8::from(*fully_cached),
-                    r.insts,
-                    r.pipelines,
-                    r.fusions,
-                    r.reductions,
-                    r.geodecomp,
-                    r.task_regions,
-                    r.static_doall,
-                    csv(&r.input_sensitive),
-                    csv(&r.consistency_errors),
-                    r.summary.len(),
-                    r.ranking.len(),
-                );
-                let mut body = Vec::with_capacity(r.summary.len() + r.ranking.len());
-                body.extend_from_slice(r.summary.as_bytes());
-                body.extend_from_slice(r.ranking.as_bytes());
-                (head, body)
-            }
-            StoredOutcome::Degraded(d) => {
-                let head = format!(
-                    "prog {} {} {} degraded {} {} {} {} {} {} {} {}",
-                    entry.index,
-                    entry.worker,
-                    entry.fence,
-                    d.reason.stage.name(),
-                    d.reason.kind.name(),
-                    d.loops,
-                    d.cus,
-                    d.regions,
-                    csv(&d.doall_candidates),
-                    d.reason.detail.len(),
-                    d.summary.len(),
-                );
-                let mut body = Vec::with_capacity(d.reason.detail.len() + d.summary.len());
-                body.extend_from_slice(d.reason.detail.as_bytes());
-                body.extend_from_slice(d.summary.as_bytes());
-                (head, body)
-            }
-            StoredOutcome::Err(e) => {
-                let head = format!(
-                    "prog {} {} {} err {} {} {}",
-                    entry.index,
-                    entry.worker,
-                    entry.fence,
-                    e.stage.name(),
-                    e.kind.name(),
-                    e.detail.len(),
-                );
-                (head, e.detail.as_bytes().to_vec())
-            }
-        },
     };
     let mut payload = Vec::with_capacity(head.len() + 1 + body.len());
     payload.extend_from_slice(head.as_bytes());
@@ -580,36 +452,14 @@ fn parse_payload(payload: &[u8]) -> Option<Record> {
     let body = &payload[line_end + 1..];
     let tok: Vec<&str> = head.split(' ').collect();
     match *tok.first()? {
-        "claim" => {
-            if tok.len() != 5 || !body.is_empty() {
-                return None;
-            }
-            Some(Record::Claim {
-                index: tok[1].parse().ok()?,
-                worker: tok[2].parse().ok()?,
-                fence: tok[3].parse().ok()?,
-                lease_ms: tok[4].parse().ok()?,
-            })
-        }
-        "beat" => {
-            if tok.len() != 4 || !body.is_empty() {
-                return None;
-            }
-            Some(Record::Beat {
-                index: tok[1].parse().ok()?,
-                worker: tok[2].parse().ok()?,
-                fence: tok[3].parse().ok()?,
-            })
-        }
-        "release" => {
-            if tok.len() != 4 || !body.is_empty() {
-                return None;
-            }
-            Some(Record::Release {
-                index: tok[1].parse().ok()?,
-                worker: tok[2].parse().ok()?,
-                fence: tok[3].parse().ok()?,
-            })
+        "claim" | "beat" | "release" => {
+            // `claim <idx> <worker> <fence> <lease_ms>`, or `beat`/`release`
+            // `<idx> <worker> <fence>`: all-numeric fields and no body.
+            let fields = if tok[0] == "claim" { 4 } else { 3 };
+            let well_formed = tok.len() == fields + 1
+                && body.is_empty()
+                && tok[1..].iter().all(|t| t.parse::<u64>().is_ok());
+            well_formed.then_some(Record::Legacy)
         }
         "prog" => parse_prog(&tok, body).map(Record::Prog),
         _ => None,
@@ -757,14 +607,12 @@ mod tests {
         ]
     }
 
-    fn sample_records() -> Vec<Record> {
-        let mut out = vec![
-            Record::Claim { index: 2, worker: 3, fence: 7, lease_ms: 500 },
-            Record::Beat { index: 2, worker: 3, fence: 7 },
-        ];
-        out.extend(sample_entries().into_iter().map(Record::Prog));
-        out.push(Record::Release { index: 9, worker: 1, fence: 8 });
-        out
+    /// A v3 frame around a ledger head such as `claim 2 3 7 500`, framed
+    /// by hand because the journal no longer writes these records.
+    fn legacy_frame(head: &str) -> Vec<u8> {
+        let payload = format!("{head}\n");
+        let sum = hash_bytes(payload.as_bytes());
+        format!("rec {} {sum:016x}\n{payload}", payload.len()).into_bytes()
     }
 
     /// Re-frame a v3 record as the legacy v2 form (`rec <len>\n`, no
@@ -781,13 +629,33 @@ mod tests {
 
     #[test]
     fn records_round_trip_byte_identically() {
-        for rec in sample_records() {
-            let bytes = render_record(&rec);
+        for e in sample_entries() {
+            let bytes = render_record(&e);
             let Step::Rec(parsed, end) = next_record(&bytes, 0) else {
                 panic!("rendered record must parse");
             };
-            assert_eq!(parsed, rec);
+            assert_eq!(parsed, Record::Prog(e));
             assert_eq!(end, bytes.len());
+        }
+    }
+
+    #[test]
+    fn legacy_ledger_records_parse_as_inert() {
+        for head in ["claim 2 3 7 500", "beat 2 3 7", "release 9 1 8"] {
+            let bytes = legacy_frame(head);
+            let Step::Rec(parsed, end) = next_record(&bytes, 0) else {
+                panic!("`{head}` must parse");
+            };
+            assert_eq!(parsed, Record::Legacy);
+            assert_eq!(end, bytes.len());
+        }
+        // The old shape checks still hold: a wrong field count or a
+        // non-numeric field is damage, not a legacy record.
+        for head in ["claim 2 3 7", "beat 2 3 7 500", "release 9 x 8"] {
+            assert!(
+                matches!(next_record(&legacy_frame(head), 0), Step::Stop(TailIssue::Malformed)),
+                "`{head}` must stop the scan"
+            );
         }
     }
 
@@ -798,8 +666,8 @@ mod tests {
         // Craft the journal exactly as the previous release wrote it:
         // v2 header magic, no frame checksums.
         let mut bytes = format!("{MAGIC_V2} {:016x}\n", 0xfeedu64).into_bytes();
-        bytes.extend_from_slice(&reframe_v2(&render_record(&Record::Prog(entry(0, 0, 0)))));
-        bytes.extend_from_slice(&reframe_v2(&render_record(&Record::Prog(entry(1, 0, 0)))));
+        bytes.extend_from_slice(&reframe_v2(&render_record(&entry(0, 0, 0))));
+        bytes.extend_from_slice(&reframe_v2(&render_record(&entry(1, 0, 0))));
         std::fs::write(journal_path(&dir), &bytes).unwrap();
 
         let (journal, replayed) = Journal::resume(&dir, 0xfeed).unwrap();
@@ -816,11 +684,11 @@ mod tests {
     #[test]
     fn bit_rot_inside_a_complete_record_stops_the_scan() {
         let mut bytes = header_bytes(5).into_bytes();
-        bytes.extend_from_slice(&render_record(&Record::Prog(entry(0, 0, 0))));
+        bytes.extend_from_slice(&render_record(&entry(0, 0, 0)));
         let rot_at = bytes.len() - 3; // deep inside the record body
         let tail_start = bytes.len();
         bytes[rot_at] ^= 0x40;
-        bytes.extend_from_slice(&render_record(&Record::Prog(entry(1, 0, 0))));
+        bytes.extend_from_slice(&render_record(&entry(1, 0, 0)));
         let parsed = scan(&bytes).unwrap();
         assert!(parsed.records.is_empty(), "a checksum-failing record must not replay");
         assert_eq!(parsed.tail, Some(TailIssue::Checksum));
@@ -863,12 +731,7 @@ mod tests {
         }
         drop(journal);
         let (_journal, replayed) = Journal::resume(&dir, 0xfeed).unwrap();
-        // Entry 2 carries fence 7 with no claim record: fenced replay must
-        // discard it; the unfenced entries 0 and 5 survive.
-        let keep: Vec<JournalEntry> =
-            sample_entries().into_iter().filter(|e| e.fence == 0).collect();
-        assert_eq!(replayed.entries, keep);
-        assert_eq!(replayed.fenced_stale, 1);
+        assert_eq!(replayed.entries, sample_entries());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -968,83 +831,36 @@ mod tests {
     }
 
     #[test]
-    fn fenced_prog_needs_its_active_claim() {
-        // claim(f=1) -> release -> claim(f=2) -> zombie prog(f=1) is
-        // stale; prog(f=2) is accepted.
+    fn replay_keeps_the_first_prog_per_index() {
         let records = vec![
-            Record::Claim { index: 0, worker: 1, fence: 1, lease_ms: 100 },
-            Record::Release { index: 0, worker: 1, fence: 1 },
-            Record::Claim { index: 0, worker: 2, fence: 2, lease_ms: 100 },
-            Record::Prog(entry(0, 1, 1)),
+            Record::Legacy,
+            Record::Prog(entry(3, 1, 1)),
+            Record::Legacy,
             Record::Prog(entry(0, 2, 2)),
+            Record::Prog(entry(3, 2, 4)),
         ];
-        let r = replay(&records);
-        assert_eq!(r.fenced_stale, 1);
-        assert_eq!(r.entries, vec![entry(0, 2, 2)]);
-        assert_eq!(r.max_fence, 2);
-        assert!(r.open_claims.is_empty());
+        assert_eq!(replay(&records).entries, vec![entry(0, 2, 2), entry(3, 1, 1)]);
     }
 
     #[test]
-    fn zombie_result_arriving_before_release_wins_and_later_result_is_stale() {
-        // The worker wrote its prog just before the coordinator killed it:
-        // the result is real work and is kept; the requeued worker's
-        // duplicate is the stale one. Either order yields one accepted
-        // entry per index.
-        let records = vec![
-            Record::Claim { index: 0, worker: 1, fence: 1, lease_ms: 100 },
-            Record::Prog(entry(0, 1, 1)),
-            Record::Release { index: 0, worker: 1, fence: 1 },
-            Record::Claim { index: 0, worker: 2, fence: 2, lease_ms: 100 },
-            Record::Prog(entry(0, 2, 2)),
-        ];
-        let r = replay(&records);
-        assert_eq!(r.entries, vec![entry(0, 1, 1)]);
-        assert_eq!(r.fenced_stale, 1);
-    }
-
-    #[test]
-    fn duplicate_claims_resolve_to_the_lowest_fence() {
-        // A broken append lock let two workers claim index 4; every
-        // replayer must crown the same owner: lowest (fence, worker).
-        let records = vec![
-            Record::Claim { index: 4, worker: 9, fence: 3, lease_ms: 100 },
-            Record::Claim { index: 4, worker: 2, fence: 5, lease_ms: 100 },
-            Record::Prog(entry(4, 2, 5)),
-        ];
-        let r = replay(&records);
-        assert_eq!(r.entries, Vec::<JournalEntry>::new());
-        assert_eq!(r.fenced_stale, 1, "the higher-fence claimant's result is fenced out");
-        assert_eq!(r.open_claims, vec![OpenClaim { index: 4, worker: 9, fence: 3 }]);
-        let winner = replay(&[
-            Record::Claim { index: 4, worker: 9, fence: 3, lease_ms: 100 },
-            Record::Claim { index: 4, worker: 2, fence: 5, lease_ms: 100 },
-            Record::Prog(entry(4, 9, 3)),
-        ]);
-        assert_eq!(winner.entries, vec![entry(4, 9, 3)]);
-    }
-
-    #[test]
-    fn stale_release_cannot_evict_a_newer_lease() {
-        let records = vec![
-            Record::Claim { index: 1, worker: 1, fence: 1, lease_ms: 100 },
-            Record::Release { index: 1, worker: 1, fence: 1 },
-            Record::Claim { index: 1, worker: 2, fence: 2, lease_ms: 100 },
-            Record::Release { index: 1, worker: 1, fence: 1 },
-        ];
-        let r = replay(&records);
-        assert_eq!(r.open_claims, vec![OpenClaim { index: 1, worker: 2, fence: 2 }]);
-    }
-
-    #[test]
-    fn claim_after_completion_is_ignored() {
-        let records = vec![
-            Record::Prog(entry(3, 0, 0)),
-            Record::Claim { index: 3, worker: 5, fence: 9, lease_ms: 100 },
-        ];
-        let r = replay(&records);
-        assert_eq!(r.entries, vec![entry(3, 0, 0)]);
-        assert!(r.open_claims.is_empty(), "completed work cannot be re-leased");
-        assert_eq!(r.max_fence, 9);
+    fn a_ledger_journal_resumes_every_result_and_takes_appends() {
+        let vfs = Arc::new(crate::vfs::SimFs::new());
+        let dir = PathBuf::from("/run");
+        // The shape a two-worker ledger wrote: claims, then fenced results.
+        let mut bytes = header_bytes(0xabc).into_bytes();
+        bytes.extend_from_slice(&legacy_frame("claim 0 1 1 500"));
+        bytes.extend_from_slice(&legacy_frame("claim 1 2 2 500"));
+        bytes.extend_from_slice(&legacy_frame("beat 1 2 2"));
+        bytes.extend_from_slice(&render_record(&entry(1, 2, 2)));
+        bytes.extend_from_slice(&legacy_frame("release 0 1 1"));
+        bytes.extend_from_slice(&legacy_frame("claim 0 2 3 500"));
+        bytes.extend_from_slice(&render_record(&entry(0, 2, 3)));
+        vfs.create_sync(&journal_path(&dir), &bytes).unwrap();
+        let (journal, replayed) = Journal::resume_via(vfs.clone(), &dir, 0xabc).unwrap();
+        assert_eq!(replayed.entries, vec![entry(0, 2, 3), entry(1, 2, 2)]);
+        journal.append(&entry(2, 0, 0)).unwrap();
+        let parsed = scan(&vfs.read(&journal_path(&dir)).unwrap()).unwrap();
+        assert_eq!(parsed.tail, None);
+        assert_eq!(replay(&parsed.into_records()).entries.len(), 3);
     }
 }

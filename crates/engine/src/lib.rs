@@ -23,14 +23,9 @@
 //! - **supervision & resume** — each batch job publishes heartbeats that a
 //!   watchdog thread scans, cancelling (cooperatively) and requeueing
 //!   stalled jobs; transient failures retry with deterministic exponential
-//!   backoff; and every finished program is journaled to an fsynced
-//!   write-ahead log ([`journal`]) so a killed batch resumes where it
-//!   stopped (`EngineConfig::resume`) instead of starting over;
-//! - **multi-process sharding** — the journal doubles as a
-//!   work-distribution ledger: worker processes claim batch indices
-//!   under fenced, heartbeat-renewed leases while a coordinator expires
-//!   silent leases and requeues their work ([`shard`]), so a SIGKILLed
-//!   worker costs one lease, not the run;
+//!   backoff; and every finished program is journaled to an fsynced,
+//!   single-writer write-ahead log ([`journal`]) so a killed batch resumes
+//!   where it stopped (`EngineConfig::resume`) instead of starting over;
 //! - **static/dynamic cross-validation** — each loop's static dependence
 //!   verdict (from `parpat_static`) is compared against the profiled
 //!   classification, flagging input-sensitive do-all verdicts and internal
@@ -64,7 +59,6 @@ pub mod fsck;
 pub mod funcdigest;
 pub mod journal;
 pub mod report;
-pub mod shard;
 pub mod stage;
 pub mod stats;
 pub mod vfs;
@@ -81,9 +75,6 @@ pub use fsck::{fsck, Finding, FsckReport, Severity};
 pub use funcdigest::function_digests;
 pub use journal::{journal_path, Journal, JournalEntry, Record, Replay, StoredOutcome};
 pub use report::{DegradedReport, ProgramReport};
-pub use shard::{
-    run_sharded, run_worker, Ledger, ShardChaos, ShardConfig, ShardOutcome, WorkerOptions,
-};
 pub use stage::Stage;
 pub use stats::{CacheStats, EngineStats, SsaPassStats, StageStats};
 pub use vfs::{DiskFault, RealFs, SimFs, Vfs};

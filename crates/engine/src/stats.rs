@@ -124,16 +124,6 @@ pub struct EngineStats {
     /// Programs restored from the batch journal instead of re-analyzed
     /// (`--resume`).
     pub resumed: u64,
-    /// Worker processes a sharded batch ran on (0 = in-process only).
-    pub workers: u64,
-    /// Leases the coordinator expired for a missing heartbeat (the owner
-    /// was SIGKILLed if still alive).
-    pub leases_expired: u64,
-    /// Batch indices requeued after their lease ended without a result.
-    pub work_requeued: u64,
-    /// Stale fenced `prog` records discarded on journal replay — a zombie
-    /// worker's late result arriving after its lease was requeued.
-    pub fenced_stale_results: u64,
     /// Journal appends that failed (or were refused by a poisoned
     /// journal): the programs completed, their results just are not in
     /// the WAL — a killed batch re-analyzes them instead of resuming.
@@ -212,10 +202,6 @@ impl EngineStats {
         out.push_str(&format!(
             "resilience: {} retries, {} stall-requeued, {} resumed from journal\n",
             self.retries, self.stall_requeued, self.resumed
-        ));
-        out.push_str(&format!(
-            "shard: {} worker(s), {} lease(s) expired, {} requeued, {} fenced-stale result(s)\n",
-            self.workers, self.leases_expired, self.work_requeued, self.fenced_stale_results
         ));
         out.push_str(&format!(
             "storage: {} journal append failure(s), {} quarantine eviction(s), {} cache write(s) disabled\n",
@@ -303,7 +289,7 @@ impl EngineStats {
             ));
         }
         format!(
-            "{{\"programs\": {}, \"requests\": {}, \"served_from_cache\": {}, \"funcs_reanalyzed\": {}, \"errors\": {}, \"degraded\": {}, \"panics\": {}, \"budget_exceeded\": {}, \"retries\": {}, \"stall_requeued\": {}, \"resumed\": {}, \"workers\": {}, \"leases_expired\": {}, \"work_requeued\": {}, \"fenced_stale_results\": {}, \"journal_append_failed\": {}, \"requests_shed\": {}, \"deadline_exceeded\": {}, \"retries_client\": {}, \"static_proven_doall\": {}, \"input_sensitive\": {}, \"consistency_errors\": {}, \"ssa_passes\": [{}], \"verified\": {}, \"sanitizer_rejects\": {}, \"miscompiles\": {}, \"jobs\": {}, \"wall_ns\": {}, \"stages\": [{}], \"cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \"mem_entries\": {}, \"recovered\": {}, \"quarantine_evicted\": {}, \"disabled_writes\": {}}}}}",
+            "{{\"programs\": {}, \"requests\": {}, \"served_from_cache\": {}, \"funcs_reanalyzed\": {}, \"errors\": {}, \"degraded\": {}, \"panics\": {}, \"budget_exceeded\": {}, \"retries\": {}, \"stall_requeued\": {}, \"resumed\": {}, \"journal_append_failed\": {}, \"requests_shed\": {}, \"deadline_exceeded\": {}, \"retries_client\": {}, \"static_proven_doall\": {}, \"input_sensitive\": {}, \"consistency_errors\": {}, \"ssa_passes\": [{}], \"verified\": {}, \"sanitizer_rejects\": {}, \"miscompiles\": {}, \"jobs\": {}, \"wall_ns\": {}, \"stages\": [{}], \"cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \"mem_entries\": {}, \"recovered\": {}, \"quarantine_evicted\": {}, \"disabled_writes\": {}}}}}",
             self.programs,
             self.requests,
             self.served_from_cache,
@@ -315,10 +301,6 @@ impl EngineStats {
             self.retries,
             self.stall_requeued,
             self.resumed,
-            self.workers,
-            self.leases_expired,
-            self.work_requeued,
-            self.fenced_stale_results,
             self.journal_append_failed,
             self.requests_shed,
             self.deadline_exceeded,
@@ -425,10 +407,6 @@ mod tests {
             retries: 6,
             stall_requeued: 7,
             resumed: 9,
-            workers: 4,
-            leases_expired: 2,
-            work_requeued: 3,
-            fenced_stale_results: 1,
             journal_append_failed: 6,
             requests_shed: 11,
             deadline_exceeded: 12,
@@ -467,9 +445,6 @@ mod tests {
         assert!(text.contains("1 degraded"));
         assert!(text.contains("1 panics, 2 budget-exceeded, 3 cache records recovered"));
         assert!(text.contains("6 retries, 7 stall-requeued, 9 resumed from journal"));
-        assert!(
-            text.contains("4 worker(s), 2 lease(s) expired, 3 requeued, 1 fenced-stale result(s)")
-        );
         assert!(text.contains(
             "6 journal append failure(s), 7 quarantine eviction(s), 8 cache write(s) disabled"
         ));
@@ -506,10 +481,6 @@ mod tests {
         assert!(json.contains("\"retries\": 6"));
         assert!(json.contains("\"stall_requeued\": 7"));
         assert!(json.contains("\"resumed\": 9"));
-        assert!(json.contains("\"workers\": 4"));
-        assert!(json.contains("\"leases_expired\": 2"));
-        assert!(json.contains("\"work_requeued\": 3"));
-        assert!(json.contains("\"fenced_stale_results\": 1"));
         assert!(json.contains("\"requests_shed\": 11"));
         assert!(json.contains("\"deadline_exceeded\": 12"));
         assert!(json.contains("\"retries_client\": 13"));
@@ -553,10 +524,6 @@ mod tests {
             retries: 0,
             stall_requeued: 0,
             resumed: 0,
-            workers: 0,
-            leases_expired: 0,
-            work_requeued: 0,
-            fenced_stale_results: 0,
             journal_append_failed: 0,
             requests_shed: 0,
             deadline_exceeded: 0,

@@ -1,13 +1,13 @@
 //! The storage abstraction under the durability layer.
 //!
 //! Every file operation that a durability claim rests on — journal
-//! appends, ledger lock handling, cache record I/O, stats persistence —
-//! goes through the [`Vfs`] trait instead of raw `std::fs`, so the same
-//! code paths run against two backends:
+//! appends and truncation, cache record I/O, stats persistence, fsck's
+//! quarantines — goes through the [`Vfs`] trait instead of raw `std::fs`,
+//! so the same code paths run against two backends:
 //!
 //! - [`RealFs`] — a thin passthrough to `std::fs` with the exact
 //!   open-flag and fsync discipline the layer always used (`O_APPEND` +
-//!   `sync_data` per record, `O_EXCL` lock creation, temp-file + rename).
+//!   `sync_data` per record, temp-file + rename).
 //! - [`SimFs`] — an in-memory filesystem with deterministic, seeded fault
 //!   plans: EIO at the k-th mutating operation, a disk that fills
 //!   (ENOSPC) at the k-th operation and stays full, and a power cut that
@@ -76,7 +76,7 @@ pub trait Vfs: Send + Sync + std::fmt::Debug {
     /// Remove a file.
     fn remove_file(&self, path: &Path) -> std::io::Result<()>;
     /// Create a file with `bytes` only if it does not exist (`O_EXCL`);
-    /// fails with `AlreadyExists` otherwise. The advisory-lock primitive.
+    /// fails with `AlreadyExists` otherwise.
     fn create_new(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()>;
     /// Create a directory and all its parents.
     fn create_dir_all(&self, path: &Path) -> std::io::Result<()>;
@@ -335,7 +335,7 @@ impl SimFs {
         }
     }
 
-    /// Test hook: age `path`'s mtime backwards by `age` (for stale-lock
+    /// Test hook: age `path`'s mtime backwards by `age` (for age-ordered
     /// scenarios that must not sleep).
     pub fn backdate(&self, path: &Path, age: Duration) {
         if let Some(f) = lock_recover(&self.inner).files.get_mut(path) {
@@ -636,13 +636,13 @@ mod tests {
     }
 
     #[test]
-    fn unsynced_lock_files_do_not_survive_a_power_cut() {
+    fn unsynced_exclusive_creates_do_not_survive_a_power_cut() {
         let fs = SimFs::new();
-        fs.create_new(&p("/journal.lock"), b"pid 1\n").unwrap();
+        fs.create_new(&p("/lock"), b"pid 1\n").unwrap();
         fs.set_fault(Some(DiskFault::PowerCut { at: fs.ops() + 1, partial: Some(0) }));
         let _ = fs.create_sync(&p("/other"), b"x");
         fs.restart();
-        assert!(fs.read(&p("/journal.lock")).is_err(), "a dead holder's lock is gone");
+        assert!(fs.read(&p("/lock")).is_err(), "a never-synced file is gone");
     }
 
     #[test]

@@ -190,7 +190,7 @@ fn enospc_at_every_byte_offset_leaves_the_journal_resumable() {
         )),
     };
     // Measure the third record's full wire length on a clean journal.
-    let rec_len = journal::render_record(&journal::Record::Prog(entry(2))).len() as u64;
+    let rec_len = journal::render_record(&entry(2)).len() as u64;
     let dir = PathBuf::from("/run");
 
     for cut in 0..=rec_len {

@@ -50,17 +50,6 @@ impl Default for WatchdogConfig {
     }
 }
 
-impl WatchdogConfig {
-    /// Tuning for lease supervision: a job that promised a heartbeat at
-    /// least every `lease` is declared stale after ~`lease` of silence
-    /// (4 scans at a quarter-lease cadence), with a floor so very short
-    /// leases don't degenerate into a busy-polling supervisor.
-    pub fn for_lease(lease: Duration) -> WatchdogConfig {
-        let poll = (lease / 4).max(Duration::from_millis(5));
-        WatchdogConfig { poll, stale_scans: 4 }
-    }
-}
-
 struct Entry {
     job: Arc<dyn Supervised>,
     /// Beat count observed at the previous scan.
@@ -247,15 +236,6 @@ mod tests {
         let _guard = dog.register(Arc::clone(&probe) as Arc<dyn Supervised>);
         std::thread::sleep(Duration::from_millis(60));
         assert_eq!(dog.stalls(), 1, "a stale job is counted exactly once");
-    }
-
-    #[test]
-    fn lease_config_scales_with_the_lease_and_keeps_a_floor() {
-        let cfg = WatchdogConfig::for_lease(Duration::from_millis(400));
-        assert_eq!(cfg.poll, Duration::from_millis(100));
-        assert_eq!(cfg.stale_scans, 4);
-        let tiny = WatchdogConfig::for_lease(Duration::from_millis(1));
-        assert_eq!(tiny.poll, Duration::from_millis(5), "poll never busy-loops");
     }
 
     #[test]

@@ -19,9 +19,8 @@ USAGE:
                                                      full findings summary
     parpat suggest <file.ml> [--workers <n>] [--json]  ranked patterns + transformations
     parpat run <file.ml>                             execute the program, print stats
-    parpat batch <dir|apps> [--jobs <n>] [--workers <n>] [--lease-ms <ms>] [--cache-dir <d>]
-                 [--max-steps <n>] [--timeout-ms <ms>] [--max-mem-cells <n>] [--retries <n>]
-                 [--resume] [--sanitize] [--json]
+    parpat batch <dir|apps> [--jobs <n>] [--cache-dir <d>] [--max-steps <n>] [--timeout-ms <ms>]
+                 [--max-mem-cells <n>] [--retries <n>] [--resume] [--sanitize] [--json]
                                                      analyze every .ml file of a directory (or the
                                                      bundled apps) in parallel with artifact caching
     parpat serve [--tcp <addr>] [--unix <path>] [--workers <n>] [--max-connections <n>]
@@ -34,11 +33,10 @@ USAGE:
     parpat stats [--cache-dir <d>] [--json]          per-stage stats persisted by the last batch
                                                      (or by a `parpat serve` session)
     parpat fsck <run-dir> [--repair]                 offline scrub of a cache/run directory:
-                                                     journal framing + record checksums, ledger
-                                                     fencing invariants, cache record integrity
-                                                     (stable F0xx codes; exits 1 on unrepaired
-                                                     damage; --repair quarantines and truncates
-                                                     back to a resumable state)
+                                                     journal framing + record checksums, cache
+                                                     record integrity (stable F0xx codes; exits 1
+                                                     on unrepaired damage; --repair quarantines
+                                                     and truncates back to a resumable state)
     parpat lint <file.ml|dir|apps> [--json]          static dependence diagnostics with stable
                                                      codes (P001 carried dep, P020 proven do-all, …)
     parpat lint --explain <CODE>                     print the documentation for one stable
@@ -78,17 +76,6 @@ prefix from the journal and re-analyzes only the rest. `--retries <n>`
 re-runs transiently failed programs (e.g. corrupted cache records) up to
 n times with exponential backoff; a watchdog cancels and requeues stalled
 jobs once.
-
-`--workers <n>` (n >= 2) shards the batch across n worker *processes*
-that claim programs through the shared journal under fenced,
-heartbeat-renewed leases (`--lease-ms`, default 500). A worker SIGKILLed
-or frozen mid-program costs one lease: the coordinator expires it,
-requeues the index, and a monotonically increasing fencing token makes
-the dead worker's late result detectably stale. Killing the coordinator
-itself loses nothing either — `--resume` restores every completed
-program byte-identically, no matter which process analyzed it. If no
-worker can be spawned the batch degrades to in-process execution with a
-note on stderr instead of failing.
 
 `parpat serve` keeps the engine (and its cache) resident: clients send
 one JSON request per line — `{\"cmd\": \"analyze\", \"app\": \"ludcmp\"}` or
@@ -270,6 +257,19 @@ pub fn run(args: &[String]) -> Result<String, String> {
         }
         Some("batch") => {
             let (target, opts) = split_opts(&args[1..])?;
+            check_opts(
+                "batch",
+                &opts,
+                &[
+                    "--jobs",
+                    "--cache-dir",
+                    "--max-steps",
+                    "--timeout-ms",
+                    "--max-mem-cells",
+                    "--retries",
+                ],
+                &["--resume", "--sanitize", "--json"],
+            )?;
             let jobs = match opt_value(&opts, "--jobs")? {
                 Some(v) => match v.parse::<usize>() {
                     Ok(n) if n >= 1 => n,
@@ -292,17 +292,10 @@ pub fn run(args: &[String]) -> Result<String, String> {
                      drop `--cache-dir none`"
                     .to_owned());
             }
-            let workers = match opt_value(&opts, "--workers")? {
-                Some(v) => match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => n,
-                    _ => return Err(format!("--workers must be a positive integer, got `{v}`")),
-                },
-                None => 1,
-            };
             let inputs = batch_inputs(&target)?;
             let json = opts.iter().any(|o| o == "--json");
             let cfg = parpat_engine::EngineConfig {
-                cache_dir: cache_dir.clone(),
+                cache_dir,
                 analysis: AnalysisConfig { limits, ..Default::default() },
                 retries,
                 resume,
@@ -310,23 +303,6 @@ pub fn run(args: &[String]) -> Result<String, String> {
                 watchdog: Some(parpat_runtime::WatchdogConfig::default()),
                 ..Default::default()
             };
-            if workers >= 2 {
-                let Some(dir) = cache_dir else {
-                    return Err("--workers needs a cache directory (the shared journal \
-                         lives there); drop `--cache-dir none`"
-                        .to_owned());
-                };
-                let shard = shard_config(&opts, &target, &dir, workers, resume)?;
-                let out = parpat_engine::run_sharded(cfg, inputs, jobs, &shard)?;
-                if let Some(note) = &out.note {
-                    eprintln!("parpat batch: {note}");
-                }
-                return if json {
-                    Ok(render_batch_json(&out.report))
-                } else {
-                    Ok(render_batch_text(&out.report))
-                };
-            }
             let engine = std::sync::Arc::new(
                 parpat_engine::Engine::new(cfg)
                     .map_err(|e| format!("cannot set up cache directory: {e}"))?,
@@ -337,52 +313,6 @@ pub fn run(args: &[String]) -> Result<String, String> {
             } else {
                 Ok(render_batch_text(&batch))
             }
-        }
-        // Hidden verb: one shard worker of a `batch --workers N` fleet
-        // (re-executed by the coordinator, never typed by hand).
-        Some("__shard-worker") => {
-            let opts: Vec<String> = args[1..].to_vec();
-            let target = opt_value(&opts, "--target")?.ok_or("__shard-worker needs --target")?;
-            let run_hex = opt_value(&opts, "--run")?.ok_or("__shard-worker needs --run")?;
-            let run = u64::from_str_radix(&run_hex, 16)
-                .map_err(|_| format!("invalid --run `{run_hex}`"))?;
-            let worker = opt_value(&opts, "--worker")?
-                .ok_or("__shard-worker needs --worker")?
-                .parse::<u64>()
-                .map_err(|_| "--worker must be a non-negative integer".to_owned())?;
-            let lease_ms = match opt_value(&opts, "--lease-ms")? {
-                Some(v) => v
-                    .parse::<u64>()
-                    .map_err(|_| format!("--lease-ms must be a positive integer, got `{v}`"))?,
-                None => 500,
-            };
-            let freeze_at = match opt_value(&opts, "--freeze-at")? {
-                Some(v) => Some(
-                    v.parse::<u64>()
-                        .map_err(|_| format!("--freeze-at must be an integer, got `{v}`"))?,
-                ),
-                None => None,
-            };
-            let retries = match opt_value(&opts, "--retries")? {
-                Some(v) => v
-                    .parse::<u32>()
-                    .map_err(|_| format!("--retries must be a non-negative integer, got `{v}`"))?,
-                None => 0,
-            };
-            let cache_dir =
-                cache_dir_opt(&opts)?.ok_or("__shard-worker needs a cache directory")?;
-            let cfg = parpat_engine::EngineConfig {
-                cache_dir: Some(cache_dir),
-                analysis: AnalysisConfig { limits: exec_limits_opts(&opts)?, ..Default::default() },
-                retries,
-                sanitize: opts.iter().any(|o| o == "--sanitize"),
-                watchdog: Some(parpat_runtime::WatchdogConfig::default()),
-                ..Default::default()
-            };
-            let inputs = batch_inputs(&target)?;
-            let wopts = parpat_engine::WorkerOptions { worker, lease_ms, run, freeze_at };
-            parpat_engine::run_worker(cfg, inputs, &wopts)?;
-            Ok(String::new())
         }
         Some("lint") => {
             // `--explain <CODE>` is a documentation lookup, not a lint run:
@@ -538,9 +468,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
         Some("fsck") => {
             let (dir, opts) =
                 split_opts(&args[1..]).map_err(|_| format!("missing <run-dir>\n\n{USAGE}"))?;
-            if let Some(bad) = opts.iter().find(|o| *o != "--repair") {
-                return Err(format!("unknown fsck option `{bad}`\n\n{USAGE}"));
-            }
+            check_opts("fsck", &opts, &[], &["--repair"])?;
             let repair = opts.iter().any(|o| o == "--repair");
             let dir = std::path::PathBuf::from(&dir);
             let report = parpat_engine::fsck(&parpat_engine::RealFs, &dir, repair)
@@ -613,68 +541,24 @@ fn exec_limits_opts(opts: &[String]) -> Result<parpat_ir::ExecLimits, String> {
     Ok(limits)
 }
 
-/// Assemble the coordinator configuration for `batch --workers N`: lease
-/// tuning, the deterministic chaos schedule (test flags), and the
-/// argument tail each worker process needs to rebuild the identical
-/// engine (target, cache dir, budgets, retries, sanitize).
-fn shard_config(
+/// Reject any option in `opts` that is neither in `valued` (flags that
+/// take the next argument as their value) nor in `switches`, naming the
+/// first offender.
+fn check_opts(
+    cmd: &str,
     opts: &[String],
-    target: &str,
-    dir: &std::path::Path,
-    workers: usize,
-    resume: bool,
-) -> Result<parpat_engine::ShardConfig, String> {
-    let lease_ms = match opt_value(opts, "--lease-ms")? {
-        Some(v) => match v.parse::<u64>() {
-            Ok(n) if n >= 1 => n,
-            _ => return Err(format!("--lease-ms must be a positive integer, got `{v}`")),
-        },
-        None => 500,
-    };
-    let chaos_seed = opt_value(opts, "--shard-chaos-seed")?;
-    let chaos_kills = opt_value(opts, "--shard-chaos-kills")?;
-    let chaos_freeze = opts.iter().any(|o| o == "--shard-chaos-freeze");
-    let chaos = if chaos_seed.is_some() || chaos_kills.is_some() || chaos_freeze {
-        let seed = match chaos_seed {
-            Some(v) => v.parse::<u64>().map_err(|_| {
-                format!("--shard-chaos-seed must be a non-negative integer, got `{v}`")
-            })?,
-            None => 1,
-        };
-        let kills = match chaos_kills {
-            Some(v) => v.parse::<u32>().map_err(|_| {
-                format!("--shard-chaos-kills must be a non-negative integer, got `{v}`")
-            })?,
-            None => 0,
-        };
-        Some(parpat_engine::ShardChaos { seed, kills, freeze_first: chaos_freeze })
-    } else {
-        None
-    };
-    let mut worker_args = vec![
-        "--target".to_owned(),
-        target.to_owned(),
-        "--cache-dir".to_owned(),
-        dir.display().to_string(),
-    ];
-    for flag in ["--max-steps", "--timeout-ms", "--max-mem-cells", "--retries"] {
-        if let Some(v) = opt_value(opts, flag)? {
-            worker_args.push(flag.to_owned());
-            worker_args.push(v);
+    valued: &[&str],
+    switches: &[&str],
+) -> Result<(), String> {
+    let mut it = opts.iter();
+    while let Some(o) = it.next() {
+        if valued.contains(&o.as_str()) {
+            it.next();
+        } else if !switches.contains(&o.as_str()) {
+            return Err(format!("unknown {cmd} option `{o}`\n\n{USAGE}"));
         }
     }
-    if opts.iter().any(|o| o == "--sanitize") {
-        worker_args.push("--sanitize".to_owned());
-    }
-    Ok(parpat_engine::ShardConfig {
-        workers,
-        lease_ms,
-        resume,
-        worker_bin: None,
-        worker_args,
-        chaos,
-        timeout: std::time::Duration::from_secs(300),
-    })
+    Ok(())
 }
 
 /// Resolve `--cache-dir`: default `.parpat-cache`, literal `none` disables
@@ -1151,6 +1035,16 @@ fn main() {
         assert!(run(&args(&["batch", "/definitely/not/here", "--cache-dir", "none"]))
             .unwrap_err()
             .contains("cannot read directory"));
+    }
+
+    #[test]
+    fn batch_rejects_unknown_flags_by_name() {
+        let (_inputs, dir, cache) = batch_dir();
+        for bad in [["--workers", "2"], ["--lease-ms", "5"], ["--jbos", "2"]] {
+            let err =
+                run(&args(&["batch", &dir, "--cache-dir", &cache, bad[0], bad[1]])).unwrap_err();
+            assert!(err.starts_with(&format!("unknown batch option `{}`", bad[0])), "{err}");
+        }
     }
 
     #[test]

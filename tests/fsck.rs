@@ -79,14 +79,13 @@ fn fsck_detects_every_seeded_corruption_and_repair_restores_resume() {
         .find(|p| p.extension().is_some_and(|e| e == "rec") && *p != rec)
         .expect("a second cache record");
     std::fs::write(&rec2, b"parpat-rec-v2\ngarbage").expect("truncate rec");
-    // 4. an orphaned append lock (F015) and an orphaned temp (F022).
-    std::fs::write(dir.join("journal.lock"), b"pid 1 seq 0\n").expect("lock");
+    // 4. an orphaned temp (F022).
     std::fs::write(dir.join("00000000000000ff.tmp.1.2"), b"partial").expect("tmp");
 
-    // Detection: all five, each under its stable code, exit status 1
+    // Detection: all four, each under its stable code, exit status 1
     // (errors present).
     let report = run(&args(&["fsck", &dir_s])).expect_err("corrupt dir must fail the scrub");
-    for code in ["F003", "F021", "F020", "F015", "F022"] {
+    for code in ["F003", "F021", "F020", "F022"] {
         assert!(report.contains(code), "missing {code} in:\n{report}");
     }
 
