@@ -6,7 +6,7 @@ set -eux
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
-cargo test -q
+cargo test --workspace -q
 # Fault-injection suite: every (stage x fault mode x job count) must leave
 # the batch complete, ordered, and correctly counted — including transient
 # retries and watchdog-requeued stalls.

@@ -13,7 +13,7 @@
 //! programmer confirms the operation is associative.
 
 use parpat_ir::{IrProgram, LoopId};
-use parpat_profile::ProfileData;
+use parpat_profile::{AccessLines, Lines, ProfileData};
 
 /// One reduction candidate.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,7 +34,7 @@ pub fn detect_reductions(prog: &IrProgram, profile: &ProfileData) -> Vec<Reducti
     let mut loops: Vec<LoopId> = profile.loop_access_lines.keys().copied().collect();
     loops.sort_unstable();
     for l in loops {
-        for candidate in reduction_candidates(profile, l) {
+        for candidate in reduction_candidates(prog, profile, l) {
             out.push(ReductionReport {
                 l,
                 loop_line: prog.loops[l as usize].line,
@@ -48,10 +48,17 @@ pub fn detect_reductions(prog: &IrProgram, profile: &ProfileData) -> Vec<Reducti
     out
 }
 
-/// The `(line, var)` reduction candidates of one loop: addresses with an
-/// inter-iteration dependence, exactly one write line, and read lines equal
-/// to the write lines (Algorithm 3's filter).
-fn reduction_candidates(profile: &ProfileData, l: LoopId) -> Vec<(u32, String)> {
+/// The line `L` when an address is written at exactly the one line `L`
+/// and read only at `L` (Algorithm 3's line filter).
+fn single_update_line(lines: &AccessLines) -> Option<u32> {
+    let line = lines.write_lines.single()?;
+    (lines.read_lines == Lines::One(line)).then_some(line)
+}
+
+/// The `(line, var)` reduction candidates of one loop: rewritten addresses
+/// with an inter-iteration dependence, exactly one write line, and read
+/// lines equal to the write lines (Algorithm 3's filter).
+fn reduction_candidates(prog: &IrProgram, profile: &ProfileData, l: LoopId) -> Vec<(u32, String)> {
     let mut found = Vec::new();
     let Some(by_addr) = profile.loop_access_lines.get(&l) else {
         return found;
@@ -60,14 +67,9 @@ fn reduction_candidates(profile: &ProfileData, l: LoopId) -> Vec<(u32, String)> 
         if !lines.inter_iteration || !lines.rewritten {
             continue;
         }
-        if lines.write_lines.len() != 1 {
-            continue;
+        if let Some(line) = single_update_line(lines) {
+            found.push((line, lines.var_name(prog)));
         }
-        if lines.read_lines != lines.write_lines {
-            continue;
-        }
-        let line = *lines.write_lines.iter().next().expect("one write line");
-        found.push((line, lines.var_name.clone()));
     }
     found.sort();
     found.dedup();
@@ -87,8 +89,7 @@ pub fn reduction_addrs_cover_carried(profile: &ProfileData, l: LoopId) -> bool {
             continue;
         }
         any = true;
-        if !lines.rewritten || lines.write_lines.len() != 1 || lines.read_lines != lines.write_lines
-        {
+        if !lines.rewritten || single_update_line(lines).is_none() {
             return false;
         }
     }

@@ -184,16 +184,15 @@ impl Cache {
         }
     }
 
-    /// Store a freshly computed stage output in both tiers.
+    /// Store a freshly computed stage output in both tiers. A report is
+    /// rendered into its disk record by reference, never copied.
     pub fn insert(&self, key: Key, digest: u64, artifact: Artifact, insts: Option<u64>) {
         let report = match &artifact {
-            Artifact::Report(r) => Some(r.as_ref().clone()),
+            Artifact::Report(r) => Some(Arc::clone(r)),
             _ => None,
         };
         self.insert_memory(key, digest, artifact);
-        if self.dir.is_some() {
-            self.write_record(key, &DiskRecord { digest, insts, report });
-        }
+        self.write_record(key, digest, insts, report.as_deref());
     }
 
     /// Store into the memory tier only (used to promote disk hits).
@@ -310,7 +309,13 @@ impl Cache {
         }
     }
 
-    fn write_record(&self, key: Key, rec: &DiskRecord) {
+    fn write_record(
+        &self,
+        key: Key,
+        digest: u64,
+        insts: Option<u64>,
+        report: Option<&ProgramReport>,
+    ) {
         let Some(path) = self.record_path(key) else { return };
         if self.disk_write_disabled.load(Ordering::Relaxed) {
             self.disabled_writes.fetch_add(1, Ordering::Relaxed);
@@ -321,7 +326,7 @@ impl Cache {
             std::process::id(),
             TMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
-        let bytes = render_record(rec);
+        let bytes = render_record(digest, insts, report);
         let outcome = self.vfs.write(&tmp, &bytes).and_then(|()| self.vfs.rename(&tmp, &path));
         match outcome {
             Ok(()) => {
@@ -357,8 +362,8 @@ pub(crate) enum RecordIssue {
 /// length-prefixed raw bytes, so no escaping is needed. A `sum` line
 /// (FNV-1a over everything after it) follows the magic so in-body rot is
 /// detected on read.
-fn render_record(rec: &DiskRecord) -> Vec<u8> {
-    let body = render_body(rec);
+fn render_record(digest: u64, insts: Option<u64>, report: Option<&ProgramReport>) -> Vec<u8> {
+    let body = render_body(digest, insts, report);
     let mut out = Vec::new();
     out.extend_from_slice(b"parpat-rec-v2\n");
     out.extend_from_slice(format!("sum {:016x}\n", hash_bytes(&body)).as_bytes());
@@ -366,13 +371,13 @@ fn render_record(rec: &DiskRecord) -> Vec<u8> {
     out
 }
 
-fn render_body(rec: &DiskRecord) -> Vec<u8> {
+fn render_body(digest: u64, insts: Option<u64>, report: Option<&ProgramReport>) -> Vec<u8> {
     let mut out = Vec::new();
-    out.extend_from_slice(format!("digest {:016x}\n", rec.digest).as_bytes());
-    if let Some(insts) = rec.insts {
+    out.extend_from_slice(format!("digest {digest:016x}\n").as_bytes());
+    if let Some(insts) = insts {
         out.extend_from_slice(format!("insts {insts}\n").as_bytes());
     }
-    if let Some(r) = &rec.report {
+    if let Some(r) = report {
         let mut head = format!(
             "report {} {} {} {} {} {} {} {} {} {} {}",
             r.summary.len(),
@@ -517,8 +522,8 @@ mod tests {
 
     #[test]
     fn record_roundtrip_with_report() {
-        let rec = DiskRecord { digest: 0xDEADBEEF, insts: Some(77), report: Some(report()) };
-        let parsed = parse_record(&render_record(&rec)).expect("parses");
+        let parsed =
+            parse_record(&render_record(0xDEADBEEF, Some(77), Some(&report()))).expect("parses");
         assert_eq!(parsed.digest, 0xDEADBEEF);
         assert_eq!(parsed.insts, Some(77));
         assert_eq!(parsed.report, Some(report()));
@@ -526,8 +531,7 @@ mod tests {
 
     #[test]
     fn record_roundtrip_digest_only() {
-        let rec = DiskRecord { digest: 42, insts: None, report: None };
-        let parsed = parse_record(&render_record(&rec)).expect("parses");
+        let parsed = parse_record(&render_record(42, None, None)).expect("parses");
         assert_eq!(parsed.digest, 42);
         assert!(parsed.insts.is_none() && parsed.report.is_none());
     }
@@ -552,11 +556,7 @@ mod tests {
 
     #[test]
     fn parse_record_never_panics_on_mutated_or_truncated_bytes() {
-        let valid = render_record(&DiskRecord {
-            digest: 0xABCD_EF01,
-            insts: Some(77),
-            report: Some(report()),
-        });
+        let valid = render_record(0xABCD_EF01, Some(77), Some(&report()));
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         for _ in 0..2000 {
             // Flip 1–4 bytes of a valid record at xorshift-chosen offsets.
@@ -650,8 +650,7 @@ mod tests {
 
     #[test]
     fn bit_rot_in_a_record_body_reads_as_checksum_corruption() {
-        let valid =
-            render_record(&DiskRecord { digest: 0xABCD, insts: Some(7), report: Some(report()) });
+        let valid = render_record(0xABCD, Some(7), Some(&report()));
         let mut rotted = valid.clone();
         let at = rotted.len() - 4; // inside the ranking payload
         rotted[at] ^= 0x20;
@@ -662,9 +661,8 @@ mod tests {
 
     #[test]
     fn legacy_records_without_a_sum_line_still_parse() {
-        let rec = DiskRecord { digest: 0x42, insts: Some(3), report: None };
         let mut legacy = b"parpat-rec-v2\n".to_vec();
-        legacy.extend_from_slice(&render_body(&rec));
+        legacy.extend_from_slice(&render_body(0x42, Some(3), None));
         let parsed = parse_record(&legacy).expect("legacy record parses");
         assert_eq!(parsed.digest, 0x42);
         assert_eq!(parsed.insts, Some(3));

@@ -52,6 +52,15 @@ impl Fnv64 {
     }
 }
 
+/// Formatting into the hasher absorbs the formatted bytes without building
+/// a `String`: `write!(h, ...)` digests exactly what `format!(...)` would.
+impl std::fmt::Write for Fnv64 {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
+    }
+}
+
 /// One-shot digest of a byte string.
 pub fn hash_bytes(bytes: &[u8]) -> u64 {
     let mut h = Fnv64::new();

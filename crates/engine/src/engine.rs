@@ -1035,12 +1035,7 @@ impl<'e> ProgRun<'e> {
         // sensitive to line shifts that change reported locations.
         let toks = parpat_minilang::lexer::lex(self.src)
             .map_err(|e| EngineError::lang(Stage::Parse, e.to_string()))?;
-        let mut h = Fnv64::new();
-        h.write(b"ast");
-        for t in &toks {
-            h.write(format!("{:?}@{};", t.kind, t.line).as_bytes());
-        }
-        let d = h.finish();
+        let d = token_digest(&toks);
         let ast = Arc::new(ast);
         self.eng.cache.insert(self.key_parse(), d, Artifact::Ast(Arc::clone(&ast)), None);
         self.ast = Some(ast);
@@ -1561,11 +1556,39 @@ impl<'e> ProgRun<'e> {
     }
 }
 
+/// The parse stage's output digest: `"ast"`, then `"{kind:?}@{line};"` for
+/// each token, formatted straight into the hasher.
+fn token_digest(toks: &[parpat_minilang::token::Token]) -> u64 {
+    use std::fmt::Write as _;
+    let mut h = Fnv64::new();
+    h.write(b"ast");
+    for t in toks {
+        write!(h, "{:?}@{};", t.kind, t.line).expect("hashing cannot fail");
+    }
+    h.finish()
+}
+
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used)]
 
     use super::*;
+
+    /// The token digest keys every cache entry and names every cache dir's
+    /// records: it must stay the digest of the formatted strings.
+    #[test]
+    fn token_digest_matches_the_formatted_tokens() {
+        let src = "global a[8];\nfn main() {\n    let s = 0.5;\n    for i in 0..8 { s += a[i] * 2; }\n    return s;\n}";
+        let toks = parpat_minilang::lexer::lex(src).unwrap();
+        let mut h = Fnv64::new();
+        h.write(b"ast");
+        for t in &toks {
+            h.write(format!("{:?}@{};", t.kind, t.line).as_bytes());
+        }
+        assert_eq!(token_digest(&toks), h.finish());
+        // Pinned as well: a change here invalidates every cache dir.
+        assert_eq!(token_digest(&toks), 0x5cb6_c82a_ce67_7892);
+    }
 
     /// The miscompile accounting split: a plain miscompile error counts in
     /// `miscompiles`, while one whose detail carries the sanitizer prefix

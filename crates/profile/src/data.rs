@@ -5,12 +5,12 @@
 //! instrumentation dumps after a profiled run: data dependences mapped onto
 //! instruction pairs, loop-carried dependence classifications, cross-loop
 //! iteration pairs for the multi-loop-pipeline analysis, per-loop per-address
-//! read/write line sets for the reduction analysis, loop trip statistics,
+//! read/write line facts for the reduction analysis, loop trip statistics,
 //! and dynamic instruction counts.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
-use parpat_ir::{InstId, LoopId};
+use parpat_ir::{InstId, InstKind, IrProgram, LoopId};
 
 /// Kind of a data dependence between two instructions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -80,17 +80,67 @@ pub struct Dep {
     pub site: DepSite,
 }
 
+/// A set of source lines reduced to what Algorithm 3 asks of it: whether it
+/// is empty, exactly `{L}` (and which `L`), or larger.
+///
+/// The value answers Algorithm 3's predicates exactly (`set == {L}` holds
+/// exactly when the value is `One(L)`) and follows union exactly: the value
+/// of `a ∪ b` is `a.join(b)`. A set's second and later distinct lines are
+/// not kept.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub enum Lines {
+    /// No line.
+    #[default]
+    None,
+    /// Exactly one line.
+    One(u32),
+    /// Two or more distinct lines.
+    Many,
+}
+
+impl Lines {
+    /// The value of the union of two line sets.
+    pub fn join(self, other: Lines) -> Lines {
+        match (self, other) {
+            (Lines::None, x) | (x, Lines::None) => x,
+            (Lines::One(a), Lines::One(b)) if a == b => self,
+            _ => Lines::Many,
+        }
+    }
+
+    /// Add one line to the set. O(1); adding a line already there changes
+    /// nothing.
+    pub fn add(&mut self, line: u32) {
+        *self = self.join(Lines::One(line));
+    }
+
+    /// The set's only line, when it holds exactly one.
+    pub fn single(self) -> Option<u32> {
+        match self {
+            Lines::One(l) => Some(l),
+            _ => None,
+        }
+    }
+}
+
 /// Aggregated read/write line information for one address within one loop —
-/// the input to the paper's Algorithm 3 (reduction detection).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// the input to the paper's Algorithm 3 (reduction detection). A `Copy`
+/// value that owns no heap memory: the variable's name is resolved against
+/// the program only when a report or a diagnostic needs it
+/// ([`AccessLines::var_name`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AccessLines {
-    /// Distinct source lines that wrote the address inside the loop.
-    pub write_lines: BTreeSet<u32>,
-    /// Distinct source lines that read the address inside the loop.
-    pub read_lines: BTreeSet<u32>,
-    /// Name of the variable/array the address belongs to (from the first
-    /// write's instruction metadata; used for reporting).
-    pub var_name: String,
+    /// Source lines that wrote the address inside the loop.
+    pub write_lines: Lines,
+    /// Source lines that read the address inside the loop.
+    pub read_lines: Lines,
+    /// The first access to the address inside the loop, read or write,
+    /// whose instruction names a variable (see [`AccessLines::var_name`]);
+    /// `None` while no access has.
+    pub name_inst: Option<InstId>,
+    /// True when line 0 was among the lines added to either set. [`Lines`]
+    /// cannot say so once it is `Many`; the trace sanitizer reads this.
+    pub has_line_zero: bool,
     /// True when a read-after-write on this address crossed iterations of
     /// the loop (an inter-iteration dependence).
     pub inter_iteration: bool,
@@ -99,6 +149,48 @@ pub struct AccessLines {
     /// rewritten every iteration) from single-assignment stencil cells
     /// (`a[i]` written once, read once by iteration `i+1`).
     pub rewritten: bool,
+}
+
+impl AccessLines {
+    /// Name of the variable or array the address belongs to, for
+    /// reporting: the name [`AccessLines::name_inst`] touches in `prog`,
+    /// empty when there is none.
+    pub fn var_name(&self, prog: &IrProgram) -> String {
+        self.name_inst
+            .and_then(|i| prog.insts.get(i as usize))
+            .map_or_else(String::new, |inst| var_name_of(&inst.kind))
+    }
+
+    /// The union of two entries for the same (loop, address), as
+    /// [`ProfileData::merge`] takes it: line sets join, flags OR, and
+    /// `self`'s name wins when it has one.
+    pub fn merge(&mut self, other: &AccessLines) {
+        self.write_lines = self.write_lines.join(other.write_lines);
+        self.read_lines = self.read_lines.join(other.read_lines);
+        self.name_inst = self.name_inst.or(other.name_inst);
+        self.has_line_zero |= other.has_line_zero;
+        self.inter_iteration |= other.inter_iteration;
+        self.rewritten |= other.rewritten;
+    }
+}
+
+/// The variable an access instruction touches, for reporting. Parameter
+/// stores are attributed to the call instruction.
+fn var_name_of(kind: &InstKind) -> String {
+    match (kind.touched_name(), kind) {
+        (Some(n), _) => n.to_owned(),
+        (None, InstKind::Call(callee)) => format!("<args of {callee}>"),
+        (None, _) => String::new(),
+    }
+}
+
+/// True when [`var_name_of`] gives a non-empty name for the instruction,
+/// without building it.
+pub(crate) fn names_variable(kind: &InstKind) -> bool {
+    match kind.touched_name() {
+        Some(n) => !n.is_empty(),
+        None => matches!(kind, InstKind::Call(_)),
+    }
 }
 
 /// Trip statistics for one loop, accumulated over all dynamic instances.
@@ -138,7 +230,7 @@ impl LoopStats {
 pub struct ProfileData {
     /// The distinct dynamic dependences observed.
     pub deps: HashSet<Dep>,
-    /// Per loop: addresses accessed within it and their line sets
+    /// Per loop: addresses accessed within it and their line facts
     /// (Algorithm 3 input). Keyed by loop, then address.
     pub loop_access_lines: HashMap<LoopId, BTreeMap<u64, AccessLines>>,
     /// Per ordered sibling-loop pair `(x, y)`: for each address written in
@@ -211,22 +303,15 @@ impl ProfileData {
 
     /// Merge another run's data into this one (the paper's multi-input
     /// profiling: run with several representative inputs, merge outputs).
-    /// Dependences and line sets are unioned; counts are summed; trip
-    /// maxima are maxed.
+    /// Dependences and line sets are unioned (see [`AccessLines::merge`]);
+    /// counts are summed; trip maxima are maxed.
     pub fn merge(&mut self, other: &ProfileData) {
         self.deps.extend(other.deps.iter().copied());
         self.region_deps.extend(other.region_deps.iter().copied());
         for (l, by_addr) in &other.loop_access_lines {
             let dst = self.loop_access_lines.entry(*l).or_default();
             for (addr, lines) in by_addr {
-                let e = dst.entry(*addr).or_default();
-                e.write_lines.extend(&lines.write_lines);
-                e.read_lines.extend(&lines.read_lines);
-                if e.var_name.is_empty() {
-                    e.var_name = lines.var_name.clone();
-                }
-                e.inter_iteration |= lines.inter_iteration;
-                e.rewritten |= lines.rewritten;
+                dst.entry(*addr).or_default().merge(lines);
             }
         }
         for (k, pairs) in &other.cross_loop_pairs {
@@ -332,6 +417,45 @@ mod tests {
         assert_eq!(s.total_iterations, 16);
         assert_eq!(s.max_iterations, 10);
         assert_eq!(s.first_entry, 2);
+    }
+
+    #[test]
+    fn lines_join_is_the_value_of_the_union() {
+        use Lines::{Many, One};
+        let empty = Lines::None;
+        assert_eq!(empty.join(empty), empty);
+        assert_eq!(empty.join(One(3)), One(3));
+        assert_eq!(One(3).join(empty), One(3));
+        assert_eq!(One(3).join(One(3)), One(3));
+        assert_eq!(One(3).join(One(4)), Many);
+        assert_eq!(Many.join(empty), Many);
+        assert_eq!(One(3).join(Many), Many);
+        let mut l = empty;
+        for line in [7, 7, 7] {
+            l.add(line);
+        }
+        assert_eq!(l.single(), Some(7));
+        l.add(8);
+        assert_eq!((l, l.single()), (Many, None));
+    }
+
+    #[test]
+    fn access_lines_merge_joins_and_keeps_the_first_name() {
+        let mut a = AccessLines { write_lines: Lines::One(5), ..Default::default() };
+        let b = AccessLines {
+            write_lines: Lines::One(5),
+            read_lines: Lines::One(6),
+            name_inst: Some(9),
+            has_line_zero: true,
+            inter_iteration: true,
+            rewritten: true,
+        };
+        a.merge(&b);
+        assert_eq!(a, b);
+        a.merge(&AccessLines { write_lines: Lines::One(4), name_inst: Some(2), ..b });
+        assert_eq!((a.write_lines, a.name_inst), (Lines::Many, Some(9)));
+        // Small and heap-free: 80 bytes and up to three allocations before.
+        assert_eq!(std::mem::size_of::<AccessLines>(), 28);
     }
 
     #[test]

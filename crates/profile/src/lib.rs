@@ -10,7 +10,7 @@
 //!   sibling loops) or cross-instance;
 //! - the `(i_x, i_y)` iteration pairs per dependent sibling-loop pair that
 //!   feed the multi-loop-pipeline regression;
-//! - per-loop per-address read/write line sets for reduction detection;
+//! - per-loop per-address read/write line facts for reduction detection;
 //! - loop trip statistics and per-instruction execution counts.
 //!
 //! ```
@@ -32,6 +32,6 @@ mod inthash;
 pub mod profiler;
 pub mod sanitize;
 
-pub use data::{AccessLines, Dep, DepKind, DepSite, LoopStats, ProfileData};
+pub use data::{AccessLines, Dep, DepKind, DepSite, Lines, LoopStats, ProfileData};
 pub use profiler::{profile, profile_function, profile_merged, DependenceProfiler};
 pub use sanitize::sanitize_profile;

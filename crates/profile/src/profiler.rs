@@ -11,7 +11,10 @@
 //!   `(i_x, i_y)` iteration pairs of the multi-loop-pipeline analysis are
 //!   filtered (last write iteration in `x`, first read iteration in `y`,
 //!   per address),
-//! - per-loop, per-address read/write source-line sets (Algorithm 3 input).
+//! - per-loop, per-address read/write source-line facts (Algorithm 3
+//!   input): whether each line set is empty, one line or more
+//!   ([`Lines`](crate::Lines)), whether line 0 was among them, and the
+//!   first access instruction that names a variable.
 //!
 //! The profiler keys loop context by `(loop id, dynamic instance, iteration)`
 //! so that re-entered inner loops and repeated calls never alias.
@@ -19,8 +22,8 @@
 //! Every access is an event, but almost every fact it reports is one the
 //! profile already holds, so the tables are shaped to notice that cheaply:
 //! a dependence equal to the last one recorded for its sink instruction and
-//! kind skips the set insert, and a line equal to the last one a per-loop
-//! entry recorded skips the line-set insert. Per-loop entries live in one
+//! kind skips the set insert, and a per-loop entry is a `Copy` value whose
+//! line update is O(1) and allocates nothing. Per-loop entries live in one
 //! vector per loop behind a flat `(loop, address)` index, cross-loop pairs
 //! in a flat `(x, y, address)` map, trip statistics in a vector by loop;
 //! [`DependenceProfiler::into_data`] nests them into [`ProfileData`]'s
@@ -33,7 +36,7 @@ use parpat_ir::event::{AccessKind, MemAccess, Observer};
 use parpat_ir::interp::{run_function, ExecLimits};
 use parpat_ir::{FuncId, InstId, IrProgram, LoopId, RuntimeError};
 
-use crate::data::{AccessLines, Dep, DepKind, DepSite, LoopStats, ProfileData};
+use crate::data::{names_variable, AccessLines, Dep, DepKind, DepSite, LoopStats, ProfileData};
 use crate::inthash::IntMap;
 
 /// One entry of the dynamic loop stack.
@@ -72,15 +75,6 @@ struct Shadow {
     last_read: Option<AccessRec>,
 }
 
-/// One loop's access lines, in order of first access, each entry with the
-/// last line it added to its read and write line sets: a repeat of that
-/// line is already there.
-#[derive(Debug, Default, Clone)]
-struct LoopLines {
-    entries: Vec<(u64, AccessLines)>,
-    last: Vec<[Option<u32>; 2]>,
-}
-
 /// The last dependence and lifted region pair inserted for one
 /// `(sink instruction, kind)`; an equal observation is already in its set.
 #[derive(Debug, Default, Clone, Copy)]
@@ -113,8 +107,9 @@ pub struct DependenceProfiler<'p> {
     /// loop/call event changes them.
     cached_stack: Option<Rc<[LoopFrame]>>,
     cached_chain: Option<Rc<[ChainFrame]>>,
-    /// Per-loop access lines (indexed by loop).
-    lines: Vec<LoopLines>,
+    /// Per-loop access lines (indexed by loop), each loop's entries in
+    /// order of first access.
+    lines: Vec<Vec<(u64, AccessLines)>>,
     /// `(loop, address)` → index into that loop's entries.
     line_index: IntMap<(LoopId, u64), usize>,
     /// `(loop, entry index)` for each live loop, for the access being
@@ -145,7 +140,7 @@ impl<'p> DependenceProfiler<'p> {
             next_instance: 0,
             cached_stack: None,
             cached_chain: None,
-            lines: vec![LoopLines::default(); prog.loop_count()],
+            lines: vec![Vec::new(); prog.loop_count()],
             line_index: IntMap::default(),
             touched: Vec::new(),
             cross_pairs: IntMap::default(),
@@ -165,9 +160,9 @@ impl<'p> DependenceProfiler<'p> {
         drop(line_index);
         // Bulk-built in place: one sort per loop (addresses mostly arrive
         // in order) instead of a tree insert per entry.
-        for (l, lines) in (0..).zip(lines) {
-            if !lines.entries.is_empty() {
-                data.loop_access_lines.insert(l, lines.entries.into_iter().collect());
+        for (l, entries) in (0..).zip(lines) {
+            if !entries.is_empty() {
+                data.loop_access_lines.insert(l, entries.into_iter().collect());
             }
         }
         for ((x, y, addr), pair) in cross_pairs {
@@ -260,25 +255,22 @@ impl<'p> DependenceProfiler<'p> {
     /// remember each entry's index in `touched`.
     fn note_access_lines(&mut self, access: &MemAccess) {
         self.touched.clear();
+        let prog = self.prog;
         for &l in &self.live_loops {
-            let ll = &mut self.lines[l as usize];
-            let fresh = ll.entries.len();
+            let entries = &mut self.lines[l as usize];
+            let fresh = entries.len();
             let idx = *self.line_index.entry((l, access.addr)).or_insert(fresh);
             if idx == fresh {
-                ll.entries.push((access.addr, AccessLines::default()));
-                ll.last.push([None; 2]);
+                entries.push((access.addr, AccessLines::default()));
             }
-            let e = &mut ll.entries[idx].1;
-            let (last, set) = match access.kind {
-                AccessKind::Read => (&mut ll.last[idx][0], &mut e.read_lines),
-                AccessKind::Write => (&mut ll.last[idx][1], &mut e.write_lines),
-            };
-            if *last != Some(access.line) {
-                set.insert(access.line);
-                *last = Some(access.line);
+            let e = &mut entries[idx].1;
+            match access.kind {
+                AccessKind::Read => e.read_lines.add(access.line),
+                AccessKind::Write => e.write_lines.add(access.line),
             }
-            if e.var_name.is_empty() {
-                e.var_name = var_name_of(self.prog, access.inst);
+            e.has_line_zero |= access.line == 0;
+            if e.name_inst.is_none() && names_variable(&prog.insts[access.inst as usize].kind) {
+                e.name_inst = Some(access.inst);
             }
             self.touched.push((l, idx));
         }
@@ -287,7 +279,7 @@ impl<'p> DependenceProfiler<'p> {
     /// The current access's line entry for live loop `l`.
     fn touched_entry(&mut self, l: LoopId) -> Option<&mut AccessLines> {
         let &(_, idx) = self.touched.iter().find(|(t, _)| *t == l)?;
-        Some(&mut self.lines[l as usize].entries[idx].1)
+        Some(&mut self.lines[l as usize][idx].1)
     }
 
     /// Record the dependence from `src` to the current access and return
@@ -365,20 +357,6 @@ impl<'p> DependenceProfiler<'p> {
                 }
             }
         }
-    }
-}
-
-/// The variable an access instruction touches, for reporting.
-fn var_name_of(prog: &IrProgram, inst: InstId) -> String {
-    let kind = &prog.insts[inst as usize].kind;
-    match kind.touched_name() {
-        Some(n) => n.to_owned(),
-        // Parameter-initialization stores are attributed to the call
-        // instruction.
-        None => match kind {
-            parpat_ir::InstKind::Call(callee) => format!("<args of {callee}>"),
-            _ => String::new(),
-        },
     }
 }
 
@@ -502,6 +480,7 @@ mod tests {
     #![allow(clippy::unwrap_used)]
 
     use super::*;
+    use crate::data::Lines;
     use parpat_ir::compile;
 
     fn profile_src(src: &str) -> (ProfileData, parpat_ir::IrProgram) {
@@ -645,12 +624,13 @@ fn main() {
     }
     return s;
 }";
-        let (data, _) = profile_src(src);
+        let (data, ir) = profile_src(src);
         // Find the address records for loop 0 with var `s`.
         let by_addr = &data.loop_access_lines[&0];
-        let s_rec = by_addr.values().find(|a| a.var_name == "s").expect("record for s");
-        assert_eq!(s_rec.write_lines.iter().copied().collect::<Vec<_>>(), vec![5]);
-        assert_eq!(s_rec.read_lines.iter().copied().collect::<Vec<_>>(), vec![5]);
+        let s_rec = by_addr.values().find(|a| a.var_name(&ir) == "s").expect("record for s");
+        assert_eq!(s_rec.write_lines, Lines::One(5));
+        assert_eq!(s_rec.read_lines, Lines::One(5));
+        assert!(!s_rec.has_line_zero);
         assert!(s_rec.inter_iteration);
     }
 

@@ -15,8 +15,8 @@
 //! - dependence pairs are ordered consistently (an instruction cannot
 //!   depend on itself within a single iteration);
 //! - loop classifications reference real loops (carried distance ≥ 1,
-//!   cross-loop pairs connect two *different* loops) and loop statistics
-//!   are internally consistent;
+//!   cross-loop pairs connect two *different* loops), loop statistics
+//!   are internally consistent, and no access-line entry saw line 0;
 //! - statement-level region dependences stay within one function — the
 //!   closure property the CU-graph builder relies on for CU membership.
 //!
@@ -174,10 +174,10 @@ fn loops(ir: &IrProgram, data: &ProfileData, out: &mut BTreeSet<String>) {
     for (l, by_addr) in &data.loop_access_lines {
         loop_ref(ir, *l, "access-line entry", out);
         for lines in by_addr.values() {
-            if lines.write_lines.contains(&0) || lines.read_lines.contains(&0) {
+            if lines.has_line_zero {
                 out.insert(format!(
                     "access lines for `{}` in loop {l} include line 0",
-                    lines.var_name
+                    lines.var_name(ir)
                 ));
             }
         }
@@ -356,6 +356,34 @@ fn main() {
         s.max_iterations = s.total_iterations + 1;
         let v = sanitize_profile(&ir, &data);
         assert!(v.iter().any(|m| m.contains("iterations total")), "{v:?}");
+    }
+
+    #[test]
+    fn line_zero_access_lines_are_rejected() {
+        // Plant line 0 on the second store to `s` before profiling: the
+        // entry's write lines become {4, 0}, `Many`, so only the entry's
+        // line-0 flag still says that 0 was among them.
+        let mut ir = parpat_ir::compile(
+            "fn main() {
+    let s = 0;
+    for i in 0..4 {
+        s += i;
+        s = s * 1;
+    }
+    return s;
+}",
+        )
+        .unwrap();
+        let second_store = (0..ir.inst_count())
+            .filter(|&i| matches!(&ir.insts[i].kind, InstKind::StoreScalar(n) if n == "s"))
+            .find(|&i| ir.insts[i].line == 5)
+            .unwrap();
+        ir.insts[second_store].line = 0;
+        let data = profile(&ir).unwrap();
+        let s = data.loop_access_lines[&0].values().find(|e| e.var_name(&ir) == "s").unwrap();
+        assert_eq!(s.write_lines, crate::Lines::Many);
+        let v = sanitize_profile(&ir, &data);
+        assert!(v.contains(&"access lines for `s` in loop 0 include line 0".to_owned()), "{v:?}");
     }
 
     #[test]

@@ -2,11 +2,29 @@
 //!
 //! `reference/mod.rs` keeps the profiler as it was before its tables were
 //! flattened and its inserts deduplicated. Every input here runs twice
-//! under the same limits, once under each profiler, and the two
-//! [`ProfileData`] values must agree field for field. Runs that fault
-//! (a runtime error or an exhausted budget) must fault identically and
-//! still agree on everything recorded up to the fault. Every profile of a
-//! completed run must also pass [`sanitize_profile`].
+//! under the same limits, once under each profiler, and the two profiles
+//! must agree. Runs that fault (a runtime error or an exhausted budget)
+//! must fault identically and still agree on everything recorded up to the
+//! fault. Every profile of a completed run must also pass
+//! [`sanitize_profile`].
+//!
+//! The reference builds the profile's old shape (`reference/data.rs`),
+//! where each (loop, address) access-line entry holds its full read and
+//! write line sets and its variable's name as a `String`. The new entry is
+//! a `Copy` value that keeps only what Algorithm 3 and the sanitizer read,
+//! so its second and later distinct lines are not recorded and cannot be
+//! compared. Every other field must be equal; access-line entries are
+//! compared through one projection of both sides onto [`LineView`]:
+//!
+//! - each line set maps to its [`Lines`] value (empty, exactly one line,
+//!   or more);
+//! - `0 ∈ write_lines ∪ read_lines` maps to `has_line_zero`;
+//! - the old `var_name` must equal the name the new entry's `name_inst`
+//!   resolves to in the program;
+//! - `inter_iteration` and `rewritten` are compared as they are.
+//!
+//! `merge_commutes_with_the_projection` checks that merging two profiles
+//! and then projecting gives what projecting and then merging gives.
 //!
 //! Inputs: the 17 bundled apps, 200 generated programs (the seeds of the
 //! SSA differential gate), and hand-written shapes that stress the tables'
@@ -16,19 +34,29 @@
 
 mod reference;
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt::Debug;
 use std::hash::Hash;
 
 use parpat_ir::event::Observer;
-use parpat_ir::{run_function, ExecLimits, IrProgram, RuntimeError};
+use parpat_ir::{run_function, ExecLimits, FuncId, InstKind, IrProgram, LoopId, RuntimeError};
 use parpat_minilang::{genprog, parse_checked};
-use parpat_profile::{sanitize_profile, DependenceProfiler, ProfileData};
+use parpat_profile::{sanitize_profile, AccessLines, DependenceProfiler, Lines, ProfileData};
+
+/// Run `func` under `obs`; the return value or the fault.
+fn run_fn(
+    ir: &IrProgram,
+    func: FuncId,
+    args: &[f64],
+    obs: &mut dyn Observer,
+    limits: ExecLimits,
+) -> Result<f64, RuntimeError> {
+    run_function(ir, func, args, obs, limits).map(|o| o.return_value)
+}
 
 /// Run `main` under `obs`; the return value or the fault.
 fn run(ir: &IrProgram, obs: &mut dyn Observer, limits: ExecLimits) -> Result<f64, RuntimeError> {
-    let entry = ir.entry.expect("program has `main`");
-    run_function(ir, entry, &[], obs, limits).map(|o| o.return_value)
+    run_fn(ir, ir.entry.expect("program has `main`"), &[], obs, limits)
 }
 
 /// Panic with the first few elements only one side of a set holds.
@@ -40,10 +68,75 @@ fn same_set<T: Eq + Hash + Debug>(label: &str, field: &str, new: &HashSet<T>, ol
     }
 }
 
-fn same_profile(label: &str, new: &ProfileData, old: &ProfileData) {
+/// One access-line entry as the comparison sees it (see the module doc).
+#[derive(Debug, PartialEq, Eq)]
+struct LineView {
+    write: Lines,
+    read: Lines,
+    has_line_zero: bool,
+    var_name: String,
+    inter_iteration: bool,
+    rewritten: bool,
+}
+
+/// The [`Lines`] value of a full line set, computed without `Lines::add`.
+fn lines_of(set: &BTreeSet<u32>) -> Lines {
+    match (set.len(), set.first()) {
+        (0, _) => Lines::None,
+        (1, Some(&l)) => Lines::One(l),
+        _ => Lines::Many,
+    }
+}
+
+fn old_view(e: &reference::AccessLines) -> LineView {
+    LineView {
+        write: lines_of(&e.write_lines),
+        read: lines_of(&e.read_lines),
+        has_line_zero: e.write_lines.contains(&0) || e.read_lines.contains(&0),
+        var_name: e.var_name.clone(),
+        inter_iteration: e.inter_iteration,
+        rewritten: e.rewritten,
+    }
+}
+
+fn new_view(e: &AccessLines, ir: &IrProgram) -> LineView {
+    LineView {
+        write: e.write_lines,
+        read: e.read_lines,
+        has_line_zero: e.has_line_zero,
+        var_name: e.var_name(ir),
+        inter_iteration: e.inter_iteration,
+        rewritten: e.rewritten,
+    }
+}
+
+/// Panic at the first (loop, address) whose projections differ.
+fn same_access_lines(
+    label: &str,
+    ir: &IrProgram,
+    new: &HashMap<LoopId, BTreeMap<u64, AccessLines>>,
+    old: &HashMap<LoopId, BTreeMap<u64, reference::AccessLines>>,
+) {
+    let new: BTreeMap<_, _> = new
+        .iter()
+        .flat_map(|(l, m)| m.iter().map(move |(a, e)| ((*l, *a), new_view(e, ir))))
+        .collect();
+    let old: BTreeMap<_, _> =
+        old.iter().flat_map(|(l, m)| m.iter().map(move |(a, e)| ((*l, *a), old_view(e)))).collect();
+    let keys: BTreeSet<_> = new.keys().chain(old.keys()).collect();
+    for k in keys {
+        let (n, o) = (new.get(k), old.get(k));
+        assert!(
+            n == o,
+            "{label}: `loop_access_lines` differs at {k:?}: new {n:?}, reference {o:?}"
+        );
+    }
+}
+
+fn same_profile(label: &str, ir: &IrProgram, new: &ProfileData, old: &reference::ProfileData) {
     same_set(label, "deps", &new.deps, &old.deps);
     same_set(label, "region_deps", &new.region_deps, &old.region_deps);
-    assert!(new.loop_access_lines == old.loop_access_lines, "{label}: `loop_access_lines` differs");
+    same_access_lines(label, ir, &new.loop_access_lines, &old.loop_access_lines);
     assert!(new.cross_loop_pairs == old.cross_loop_pairs, "{label}: `cross_loop_pairs` differs");
     assert_eq!(new.loop_stats, old.loop_stats, "{label}: `loop_stats` differs");
     assert!(new.inst_counts == old.inst_counts, "{label}: `inst_counts` differs");
@@ -69,7 +162,7 @@ fn differential(label: &str, src: &str, limits: ExecLimits) -> Option<ProfileDat
         (Err(a), Err(b)) => assert_eq!(a, b, "{label}: faults differ"),
         _ => panic!("{label}: outcomes differ: {new_outcome:?} vs {old_outcome:?}"),
     }
-    same_profile(label, &new, &old);
+    same_profile(label, &ir, &new, &old);
     if new_outcome.is_err() {
         return None;
     }
@@ -151,9 +244,7 @@ fn main() {
 
 #[test]
 fn parameter_stores_inside_loops() {
-    let p = differential(
-        "parameter stores",
-        "global a[6];
+    let src = "global a[6];
 fn add(x, y) { return x + y; }
 fn main() {
     let s = 0;
@@ -162,12 +253,11 @@ fn main() {
         a[i] = add(s, a[i]);
     }
     return s;
-}",
-        ExecLimits::default(),
-    )
-    .expect("completes");
-    let lines = p.loop_access_lines.values().flat_map(|m| m.values());
-    assert!(lines.into_iter().any(|l| l.var_name.starts_with("<args of")), "parameter stores");
+}";
+    let p = differential("parameter stores", src, ExecLimits::default()).expect("completes");
+    let ir = parpat_ir::compile(src).expect("compiles");
+    let mut lines = p.loop_access_lines.values().flat_map(|m| m.values());
+    assert!(lines.any(|l| l.var_name(&ir).starts_with("<args of")), "parameter stores");
 }
 
 #[test]
@@ -192,4 +282,148 @@ fn main() {
     )
     .expect("completes");
     assert!(!p.cross_loop_pairs.is_empty(), "sibling loops exchange data");
+}
+
+/// Every instruction that names a variable, with the name the old profile
+/// stored for it, plus the nameless `(None, "")`.
+fn name_pool(ir: &IrProgram) -> Vec<(Option<u32>, String)> {
+    let mut pool = vec![(None, String::new())];
+    for (i, inst) in (0u32..).zip(&ir.insts) {
+        let name = match (inst.kind.touched_name(), &inst.kind) {
+            (Some(n), _) => n.to_owned(),
+            (None, InstKind::Call(callee)) => format!("<args of {callee}>"),
+            _ => continue,
+        };
+        pool.push((Some(i), name));
+    }
+    pool
+}
+
+fn below(rng: &mut u64, n: u64) -> u64 {
+    genprog::xorshift64(rng) % n
+}
+
+/// A random old-shaped entry over lines 0..4 and its projection, built
+/// field by field.
+fn random_entry(
+    rng: &mut u64,
+    pool: &[(Option<u32>, String)],
+) -> (reference::AccessLines, AccessLines) {
+    let mut set =
+        || -> BTreeSet<u32> { (0..below(rng, 4)).map(|_| below(rng, 4) as u32).collect() };
+    let (write_lines, read_lines) = (set(), set());
+    let (name_inst, var_name) = pool[below(rng, pool.len() as u64) as usize].clone();
+    let (inter_iteration, rewritten) = (below(rng, 2) == 0, below(rng, 2) == 0);
+    let new = AccessLines {
+        write_lines: lines_of(&write_lines),
+        read_lines: lines_of(&read_lines),
+        name_inst,
+        has_line_zero: write_lines.contains(&0) || read_lines.contains(&0),
+        inter_iteration,
+        rewritten,
+    };
+    let old =
+        reference::AccessLines { write_lines, read_lines, var_name, inter_iteration, rewritten };
+    (old, new)
+}
+
+/// Random access lines over 3 loops and 4 addresses, in both shapes.
+fn random_profiles(
+    rng: &mut u64,
+    pool: &[(Option<u32>, String)],
+) -> (reference::ProfileData, ProfileData) {
+    let (mut old, mut new) = (reference::ProfileData::default(), ProfileData::default());
+    for _ in 0..below(rng, 12) {
+        let (l, addr) = (below(rng, 3) as LoopId, below(rng, 4));
+        let (o, n) = random_entry(rng, pool);
+        old.loop_access_lines.entry(l).or_default().insert(addr, o);
+        new.loop_access_lines.entry(l).or_default().insert(addr, n);
+    }
+    (old, new)
+}
+
+/// `work(n, k)` writes `s` at one line or two and `t` at one of two lines,
+/// depending on its arguments.
+const MERGE_SRC: &str = "global a[8];
+global h[4];
+fn work(n, k) {
+    let s = 0;
+    let t = 0;
+    for i in 0..n {
+        s += a[i % 8];
+        if i == k {
+            s = s * 2;
+        }
+        if k < 4 {
+            t += i;
+        } else {
+            t += 2 * i;
+        }
+        h[i % 4] += s;
+    }
+    return s + t;
+}
+fn main() { return work(8, 3); }";
+
+/// Profile `work(args)` with both profilers.
+fn profile_both(ir: &IrProgram, args: &[f64]) -> (reference::ProfileData, ProfileData) {
+    let work = ir.function_named("work").expect("has `work`").id;
+    let mut new = DependenceProfiler::new(ir);
+    run_fn(ir, work, args, &mut new, ExecLimits::default()).expect("completes");
+    let mut old = reference::DependenceProfiler::new(ir);
+    run_fn(ir, work, args, &mut old, ExecLimits::default()).expect("completes");
+    (old.into_data(), new.into_data())
+}
+
+/// (loop, address) entries where `a` and `b` hold two different single
+/// lines in the same set, so that their merge must become `Many`.
+fn one_one_joins(a: &ProfileData, b: &ProfileData) -> usize {
+    let distinct = |x: Lines, y: Lines| matches!((x, y), (Lines::One(p), Lines::One(q)) if p != q);
+    let mut n = 0;
+    for (l, by_addr) in &a.loop_access_lines {
+        for (addr, x) in by_addr {
+            if let Some(y) = b.loop_access_lines.get(l).and_then(|m| m.get(addr)) {
+                if distinct(x.write_lines, y.write_lines) || distinct(x.read_lines, y.read_lines) {
+                    n += 1;
+                }
+            }
+        }
+    }
+    n
+}
+
+#[test]
+fn merge_commutes_with_the_projection() {
+    let ir = parpat_ir::compile(MERGE_SRC).expect("compiles");
+    let mut rng = 0x5EED_D1FF_u64;
+
+    // Random entries: every lattice case, line 0, and name precedence.
+    let pool = name_pool(&ir);
+    for case in 0..500 {
+        let label = format!("random case {case}");
+        let (mut old_a, mut new_a) = random_profiles(&mut rng, &pool);
+        let (old_b, new_b) = random_profiles(&mut rng, &pool);
+        same_profile(&label, &ir, &new_a, &old_a);
+        same_profile(&label, &ir, &new_b, &old_b);
+        old_a.merge(&old_b);
+        new_a.merge(&new_b);
+        same_profile(&label, &ir, &new_a, &old_a);
+    }
+
+    // Real profiles of one function under two seeded inputs.
+    let mut joins = 0;
+    for case in 0..40 {
+        let mut args = || [below(&mut rng, 9) as f64, below(&mut rng, 9) as f64];
+        let (args_a, args_b) = (args(), args());
+        let label = format!("inputs {args_a:?} then {args_b:?}");
+        let (mut old_a, mut new_a) = profile_both(&ir, &args_a);
+        let (old_b, new_b) = profile_both(&ir, &args_b);
+        same_profile(&label, &ir, &new_a, &old_a);
+        joins += one_one_joins(&new_a, &new_b);
+        old_a.merge(&old_b);
+        new_a.merge(&new_b);
+        same_profile(&format!("{label} (case {case})"), &ir, &new_a, &old_a);
+        assert!(sanitize_profile(&ir, &new_a).is_empty(), "{label}: merged profile rejected");
+    }
+    assert!(joins > 0, "no merge joined two different single lines");
 }

@@ -1,9 +1,13 @@
 //! The dependence profiler as it stood before its tables were flattened,
 //! kept verbatim as the reference side of the differential gate
-//! (`tests/differential.rs`). Only the imports differ from the original:
-//! they name `parpat_profile` instead of `crate`, and the run helpers are
-//! left out. Do not optimise this file; its value is that it is the
-//! obvious implementation.
+//! (`tests/differential.rs`). Only types and imports differ from the
+//! original: the imports name `parpat_profile` instead of `crate`, the
+//! profile it builds is the old shape kept in `data.rs` (full line sets and
+//! a `String` name per access-line entry), and the run helpers are left
+//! out. Do not optimise this file; its value is that it is the obvious
+//! implementation.
+
+mod data;
 
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -11,7 +15,9 @@ use std::rc::Rc;
 use parpat_ir::event::{AccessKind, MemAccess, Observer};
 use parpat_ir::{InstId, IrProgram, LoopId};
 
-use parpat_profile::{Dep, DepKind, DepSite, ProfileData};
+use parpat_profile::{Dep, DepKind, DepSite};
+
+pub use data::{AccessLines, ProfileData};
 
 /// One entry of the dynamic loop stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -208,10 +208,14 @@ mod tests {
 
     #[test]
     fn beating_job_is_left_alone() {
-        let dog = Watchdog::spawn(fast_cfg());
+        // A ~100 ms staleness window: a 2 ms sleep that the host stretches
+        // past a few scans must not read as a stall. The job beats for at
+        // least 300 ms, three windows, so a watchdog that ignored beats
+        // would still fire here.
+        let dog = Watchdog::spawn(WatchdogConfig { stale_scans: 50, ..fast_cfg() });
         let probe = Arc::new(Probe::default());
         let _guard = dog.register(Arc::clone(&probe) as Arc<dyn Supervised>);
-        for _ in 0..20 {
+        for _ in 0..150 {
             probe.beats.fetch_add(1, Ordering::Relaxed);
             std::thread::sleep(Duration::from_millis(2));
         }

@@ -16,7 +16,7 @@ pub const USAGE: &str =
 
 USAGE:
     parpat analyze <file.ml> [--hotspot <percent>] [--max-steps <n>] [--timeout-ms <ms>]
-                                                     full findings summary
+                   [--max-mem-cells <n>]             full findings summary
     parpat suggest <file.ml> [--workers <n>] [--json]  ranked patterns + transformations
     parpat run <file.ml>                             execute the program, print stats
     parpat batch <dir|apps> [--jobs <n>] [--cache-dir <d>] [--max-steps <n>] [--timeout-ms <ms>]
@@ -108,6 +108,12 @@ pub fn run(args: &[String]) -> Result<String, String> {
         Some("help") | None => Ok(USAGE.to_owned()),
         Some("analyze") => {
             let (path, opts) = split_opts(&args[1..])?;
+            check_opts(
+                "analyze",
+                &opts,
+                &["--hotspot", "--max-steps", "--timeout-ms", "--max-mem-cells"],
+                &[],
+            )?;
             let threshold = match opt_value(&opts, "--hotspot")? {
                 Some(v) => {
                     let pct: f64 =
@@ -129,10 +135,19 @@ pub fn run(args: &[String]) -> Result<String, String> {
         }
         Some("suggest") => {
             let (path, opts) = split_opts(&args[1..])?;
-            let workers = opt_value(&opts, "--workers")?
-                .map(|v| v.parse::<f64>().map_err(|_| format!("invalid --workers value `{v}`")))
-                .transpose()?
-                .unwrap_or(8.0);
+            check_opts("suggest", &opts, &["--workers"], &["--json"])?;
+            let workers = match opt_value(&opts, "--workers")? {
+                Some(v) => {
+                    let n: f64 = v.parse().map_err(|_| format!("invalid --workers value `{v}`"))?;
+                    if !n.is_finite() || n < 1.0 {
+                        return Err(format!(
+                            "--workers must be a finite number of at least 1, got `{v}`"
+                        ));
+                    }
+                    n
+                }
+                None => 8.0,
+            };
             let src = read(&path)?;
             let analysis =
                 analyze_source(&src, &AnalysisConfig::default()).map_err(|e| e.to_string())?;
@@ -203,6 +218,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
             Ok(out)
         }
         Some("apps") => {
+            check_opts("apps", &args[1..], &[], &[])?;
             let mut out = String::new();
             for app in parpat_suite::all_apps().iter().chain(parpat_suite::synthetic_apps().iter())
             {
@@ -213,6 +229,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
         }
         Some("demo") => {
             let (name, opts) = split_opts(&args[1..])?;
+            check_opts("demo", &opts, &[], &["--json"])?;
             let app = parpat_suite::app_named(&name)
                 .ok_or_else(|| format!("unknown app `{name}` — try `parpat apps`"))?;
             let analysis = app.analyze().map_err(|e| e.to_string())?;
@@ -229,6 +246,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
         }
         Some("dot") => {
             let (path, opts) = split_opts(&args[1..])?;
+            check_opts("dot", &opts, &["--region"], &[])?;
             let src = read(&path)?;
             let analysis =
                 analyze_source(&src, &AnalysisConfig::default()).map_err(|e| e.to_string())?;
@@ -323,6 +341,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
                 return explain_code(&id);
             }
             let (target, opts) = split_opts(&args[1..])?;
+            check_opts("lint", &opts, &[], &["--json"])?;
             let inputs = lint_inputs(&target)?;
             let results: Vec<(String, Vec<parpat_static::Diagnostic>)> = inputs
                 .into_iter()
@@ -335,7 +354,8 @@ pub fn run(args: &[String]) -> Result<String, String> {
             }
         }
         Some("verify") => {
-            let (target, _opts) = split_opts(&args[1..])?;
+            let (target, opts) = split_opts(&args[1..])?;
+            check_opts("verify", &opts, &[], &[])?;
             let inputs = lint_inputs(&target)?;
             let total = inputs.len();
             let mut out = String::new();
@@ -365,6 +385,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
         }
         Some("shrink") => {
             let (path, opts) = split_opts(&args[1..])?;
+            check_opts("shrink", &opts, &["--inject"], &[])?;
             let inject = match opt_value(&opts, "--inject")? {
                 Some(v) => Some(parpat_ir::Corruption::from_name(&v).ok_or_else(|| {
                     format!(
@@ -380,6 +401,26 @@ pub fn run(args: &[String]) -> Result<String, String> {
         }
         Some("serve") => {
             let opts: Vec<String> = args[1..].to_vec();
+            check_opts(
+                "serve",
+                &opts,
+                &[
+                    "--tcp",
+                    "--unix",
+                    "--workers",
+                    "--max-connections",
+                    "--queue-depth",
+                    "--request-deadline-ms",
+                    "--idle-timeout-ms",
+                    "--chaos-permille",
+                    "--chaos-seed",
+                    "--cache-dir",
+                    "--max-steps",
+                    "--timeout-ms",
+                    "--max-mem-cells",
+                ],
+                &[],
+            )?;
             let mut cfg = parpat_serve::ServeConfig {
                 limits: exec_limits_opts(&opts)?,
                 cache_dir: cache_dir_opt(&opts)?,
@@ -458,6 +499,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
         }
         Some("stats") => {
             let opts: Vec<String> = args[1..].to_vec();
+            check_opts("stats", &opts, &["--cache-dir"], &["--json"])?;
             let dir = cache_dir_opt(&opts)?
                 .ok_or_else(|| "`parpat stats` needs a cache directory".to_owned())?;
             let file = if opts.iter().any(|o| o == "--json") { "stats.json" } else { "stats.txt" };
@@ -481,7 +523,8 @@ pub fn run(args: &[String]) -> Result<String, String> {
             }
         }
         Some("run") => {
-            let (path, _) = split_opts(&args[1..])?;
+            let (path, opts) = split_opts(&args[1..])?;
+            check_opts("run", &opts, &[], &[])?;
             let src = read(&path)?;
             let ir = parpat_ir::compile(&src).map_err(|e| e.to_string())?;
             let out = parpat_ir::run(&ir, &mut parpat_ir::event::NullObserver)
@@ -1384,6 +1427,85 @@ fn main() {
         let out = run(&args(&["suggest", &path])).unwrap();
         assert!(out.contains("ranked patterns"), "{out}");
         assert!(out.contains("sum reduction"), "{out}");
+    }
+
+    #[test]
+    fn suggest_rejects_non_finite_and_sub_one_workers() {
+        let path =
+            concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/legacy_ledger/programs/pipe.ml");
+        for bad in ["nan", "inf", "0", "-3"] {
+            let err = run(&args(&["suggest", path, "--workers", bad])).unwrap_err();
+            assert!(
+                err.contains(&format!(
+                    "--workers must be a finite number of at least 1, got `{bad}`"
+                )),
+                "`{bad}` gave: {err}"
+            );
+        }
+        let err = run(&args(&["suggest", path, "--workers", "zap"])).unwrap_err();
+        assert!(err.contains("invalid --workers value `zap`"), "{err}");
+        let out = run(&args(&["suggest", path, "--workers", "1"])).unwrap();
+        assert!(out.contains("(workers = 1)"), "{out}");
+    }
+
+    /// `argv` must fail, naming `flag` as an unknown `cmd` option.
+    fn rejects_unknown(argv: &[&str], cmd: &str, flag: &str) {
+        let err = run(&args(argv)).unwrap_err();
+        assert!(err.contains(&format!("unknown {cmd} option `{flag}`")), "{argv:?} gave: {err}");
+    }
+
+    #[test]
+    fn analyze_rejects_unknown_flags() {
+        let path = write_temp("unknown-analyze.ml", REDUCTION_SRC);
+        rejects_unknown(&["analyze", &path, "--bogus", "1"], "analyze", "--bogus");
+        rejects_unknown(&["analyze", &path, "--hotpsot", "5"], "analyze", "--hotpsot");
+        assert!(run(&args(&["analyze", &path, "--max-mem-cells", "100000"])).is_ok());
+    }
+
+    #[test]
+    fn suggest_rejects_unknown_flags() {
+        let path = write_temp("unknown-suggest.ml", REDUCTION_SRC);
+        rejects_unknown(&["suggest", &path, "--worker", "4"], "suggest", "--worker");
+    }
+
+    #[test]
+    fn lint_rejects_unknown_flags() {
+        rejects_unknown(&["lint", "apps", "--jsn"], "lint", "--jsn");
+    }
+
+    #[test]
+    fn verify_rejects_unknown_flags() {
+        rejects_unknown(&["verify", "apps", "--verbsoe"], "verify", "--verbsoe");
+    }
+
+    #[test]
+    fn shrink_rejects_unknown_flags() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/miscompile_seed.ml");
+        rejects_unknown(&["shrink", path, "--injcet", "swap-add-sub"], "shrink", "--injcet");
+    }
+
+    #[test]
+    fn serve_rejects_unknown_flags() {
+        rejects_unknown(&["serve", "--worker", "2"], "serve", "--worker");
+    }
+
+    #[test]
+    fn stats_rejects_unknown_flags() {
+        rejects_unknown(&["stats", "--cache-dr", "none"], "stats", "--cache-dr");
+    }
+
+    #[test]
+    fn run_rejects_unknown_flags() {
+        let path = write_temp("unknown-run.ml", "fn main() { return 6 * 7; }");
+        rejects_unknown(&["run", &path, "--foo"], "run", "--foo");
+    }
+
+    #[test]
+    fn apps_demo_and_dot_reject_unknown_flags() {
+        rejects_unknown(&["apps", "--jsn"], "apps", "--jsn");
+        rejects_unknown(&["demo", "fib", "--jsno"], "demo", "--jsno");
+        let path = write_temp("unknown-dot.ml", REDUCTION_SRC);
+        rejects_unknown(&["dot", &path, "--regoin", "main"], "dot", "--regoin");
     }
 
     #[test]
