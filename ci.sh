@@ -36,6 +36,12 @@ cargo test -q --test kill_resume
 # tests, over the suite, 200 generated programs (faulting ones included)
 # and hand-written loop/recursion shapes; the sanitizer must accept each.
 cargo test -q -p parpat-profile --test differential
+# Evaluator differential gate: the reference evaluator (the oracle's
+# independent half) must agree with a verbatim copy of its previous
+# version, return value, every global bit for bit and step count, or
+# error line, message and kind, over the 19 bundled models, 200
+# generated programs and hand-written scope, fault and budget shapes.
+cargo test -q -p parpat-minilang --test differential
 # The benchmark is its own workspace, so nothing above compiles it: build
 # it against the current API and run its own tests.
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
@@ -59,11 +65,12 @@ cargo test -q -p parpat-serve --test chaos
 cargo test -q -p parpat-serve --test drain
 # Resident-service benchmark: the warm server must beat the cold one-shot
 # path by >= 2x (asserted inside the bench), measure overload p99 and
-# shed rate, and emit its JSON report.
+# shed rate, and emit its JSON report under target/tmp (not the checkout).
 cargo bench -p parpat-bench --bench serve
-test -s BENCH_serve.json
+test -s target/tmp/BENCH_serve.json
 # Static-analysis benchmark: end-to-end lint throughput over the suite
 # (asserted under 50 ms/program inside the bench) and the per-pass wall
-# time of the SSA optimization pipeline, emitted as a JSON report.
+# time of the SSA optimization pipeline, emitted as a JSON report under
+# target/tmp.
 cargo bench -p parpat-bench --bench static
-test -s BENCH_static.json
+test -s target/tmp/BENCH_static.json

@@ -2,8 +2,9 @@
 //! against the cold one-shot path, the latency of an incremental
 //! single-function edit, and the tail latency + shed rate of a
 //! deliberately overloaded server (more concurrent connectors than
-//! slots and queue entries combined). Emits `BENCH_serve.json` at the
-//! repo root for CI to check in addition to the printed table.
+//! slots and queue entries combined). Writes its report to
+//! `BENCH_serve.json` in Cargo's per-target temporary directory
+//! (`target/tmp`), where ci.sh checks it, besides the printed table.
 //!
 //! The comparison is deliberately end-to-end on the server side — every
 //! request crosses a real TCP socket and the analysis pool — so the
@@ -232,7 +233,7 @@ fn main() {
         p99.as_secs_f64() * 1e3,
         shed_rate,
     );
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_serve.json");
+    let out = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("BENCH_serve.json");
     std::fs::write(&out, json).expect("write BENCH_serve.json");
     println!("serve/report          {}", out.display());
 

@@ -13,6 +13,9 @@ use std::time::Duration;
 
 use crate::stage::Stage;
 
+/// JSON string escaping, shared with the diagnostics and the CLI.
+pub use parpat_static::diag::json_str;
+
 /// Lock-free per-stage counters shared by all worker threads of a batch.
 #[derive(Debug, Default)]
 pub(crate) struct StageCounters {
@@ -358,25 +361,6 @@ pub fn fmt_duration(d: Duration) -> String {
     }
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used)]
@@ -500,12 +484,6 @@ mod tests {
         assert!(json.contains("\"journal_append_failed\": 6"));
         assert!(json.contains("\"quarantine_evicted\": 7"));
         assert!(json.contains("\"disabled_writes\": 8"));
-    }
-
-    #[test]
-    fn json_str_escapes() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
     }
 
     #[test]

@@ -50,6 +50,31 @@ fn seeded_miscompile_is_caught_by_the_oracle() {
 }
 
 #[test]
+fn a_reference_fault_where_the_interpreter_succeeds_is_a_miscompile() {
+    // Swapping the add makes the IR read `a[2]`, in bounds, while the
+    // reference evaluator follows the source to `a[4]` and faults.
+    let plan = FaultPlan::at(Stage::Lower, 0, FaultMode::Miscompile);
+    let engine = engine_with(EngineConfig { faults: vec![plan], ..Default::default() });
+    let input = BatchInput {
+        name: "oob".into(),
+        source: "global a[4];\nfn main() {\n    let x = 3 + 1;\n    return a[x];\n}".into(),
+    };
+    let batch = engine.batch(vec![input], 1);
+
+    let outcome = &batch.outcomes[0].outcome;
+    let err = outcome.error().expect("the oracle must reject the run");
+    assert_eq!(err.kind, ErrorKind::Miscompile);
+    assert_eq!(err.stage, Stage::Profile);
+    assert_eq!(
+        err.detail,
+        "differential oracle: reference evaluation faulted (evaluation error at line 4: index 4 \
+         out of bounds for dimension 0 of `a` (size 4)) where the interpreter succeeded"
+    );
+    assert!(outcome.degraded().is_none(), "miscompiles must not degrade to static results");
+    assert_eq!(batch.stats.miscompiles, 1);
+}
+
+#[test]
 fn clean_programs_verify_and_pass_the_sanitizer() {
     let engine = engine_with(EngineConfig { sanitize: true, ..Default::default() });
     let inputs = vec![

@@ -22,8 +22,6 @@
 //! - a missing `return` yields `0.0`; evaluation is bounded by
 //!   [`EvalLimits`] so hostile programs terminate with a budget error.
 
-use std::collections::HashMap;
-
 use crate::ast::*;
 
 /// Budgets for a reference evaluation.
@@ -105,17 +103,25 @@ pub fn evaluate_with_limits(prog: &Program, limits: EvalLimits) -> Result<EvalOu
     let main = prog
         .function("main")
         .ok_or_else(|| EvalError::fault(0, "program has no `main` function".into()))?;
-    let mut arrays = Vec::with_capacity(prog.globals.len());
+    let mut bases = Vec::with_capacity(prog.globals.len());
+    let mut cells = 0;
     for g in &prog.globals {
-        arrays.push(vec![0.0f64; g.len()]);
+        bases.push(cells);
+        cells += g.len();
     }
-    let mut ev = Evaluator { prog, arrays, steps: 0, depth: 0, limits };
-    let ret = ev.call(main, &[])?;
-    let mut globals = Vec::new();
-    for a in &ev.arrays {
-        globals.extend_from_slice(a);
-    }
-    Ok(EvalOutcome { return_value: ret, globals, steps: ev.steps })
+    let mut ev = Evaluator {
+        prog,
+        cells: vec![0.0; cells],
+        bases,
+        vars: Vec::new(),
+        frame: 0,
+        scope: 0,
+        steps: 0,
+        depth: 0,
+        limits,
+    };
+    let ret = ev.call(main, 0)?;
+    Ok(EvalOutcome { return_value: ret, globals: ev.cells, steps: ev.steps })
 }
 
 /// Compare an [`EvalOutcome`] against an interpreter result, returning a
@@ -201,43 +207,28 @@ enum Flow {
     Return(f64),
 }
 
-/// Lexical scopes of one activation: a stack of name → value maps.
-struct Frame {
-    scopes: Vec<HashMap<String, f64>>,
-}
-
-impl Frame {
-    fn get(&self, name: &str) -> Option<f64> {
-        self.scopes.iter().rev().find_map(|s| s.get(name)).copied()
-    }
-
-    fn set(&mut self, name: &str, v: f64) -> bool {
-        for s in self.scopes.iter_mut().rev() {
-            if let Some(slot) = s.get_mut(name) {
-                *slot = v;
-                return true;
-            }
-        }
-        false
-    }
-
-    fn declare(&mut self, name: &str, v: f64) {
-        if let Some(s) = self.scopes.last_mut() {
-            s.insert(name.to_owned(), v);
-        }
-    }
-}
-
 struct Evaluator<'p> {
     prog: &'p Program,
-    /// One backing vector per global array, in declaration order.
-    arrays: Vec<Vec<f64>>,
+    /// Every global array's cells, flattened in declaration order.
+    cells: Vec<f64>,
+    /// Where each global array starts in `cells`.
+    bases: Vec<usize>,
+    /// The scalar bindings of every open scope of every activation,
+    /// innermost last. Names borrow from the AST. Within one scope a name
+    /// is bound at most once (`let` replaces), so searching from the end
+    /// finds the innermost binding, as a stack of per-scope maps would.
+    vars: Vec<(&'p str, f64)>,
+    /// Where the current activation's bindings start in `vars`; lookups
+    /// never reach below it.
+    frame: usize,
+    /// Where the innermost open scope's bindings start in `vars`.
+    scope: usize,
     steps: u64,
     depth: usize,
     limits: EvalLimits,
 }
 
-impl Evaluator<'_> {
+impl<'p> Evaluator<'p> {
     fn step(&mut self, line: u32) -> Result<(), EvalError> {
         self.steps += 1;
         if self.steps > self.limits.max_steps {
@@ -249,7 +240,42 @@ impl Evaluator<'_> {
         Ok(())
     }
 
-    fn call(&mut self, f: &Function, args: &[f64]) -> Result<f64, EvalError> {
+    fn get(&self, name: &str) -> Option<f64> {
+        self.vars[self.frame..].iter().rev().find(|(n, _)| *n == name).map(|&(_, v)| v)
+    }
+
+    fn set(&mut self, name: &str, v: f64) -> bool {
+        match self.vars[self.frame..].iter_mut().rev().find(|(n, _)| *n == name) {
+            Some(slot) => {
+                slot.1 = v;
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Bind `name` in the innermost scope, replacing its binding there.
+    fn declare(&mut self, name: &'p str, v: f64) {
+        match self.vars[self.scope..].iter_mut().find(|(n, _)| *n == name) {
+            Some(slot) => slot.1 = v,
+            None => self.vars.push((name, v)),
+        }
+    }
+
+    /// Open a scope; returns the enclosing scope's mark for [`Self::close`].
+    fn open(&mut self) -> usize {
+        std::mem::replace(&mut self.scope, self.vars.len())
+    }
+
+    /// Drop the innermost scope's bindings and reopen `outer`.
+    fn close(&mut self, outer: usize) {
+        self.vars.truncate(self.scope);
+        self.scope = outer;
+    }
+
+    /// Run `f` on the arguments in `vars[args..]`, which the caller pushed
+    /// unnamed and which become the bindings of `f`'s parameters.
+    fn call(&mut self, f: &'p Function, args: usize) -> Result<f64, EvalError> {
         if self.depth >= self.limits.max_call_depth {
             return Err(EvalError::budget(
                 f.line,
@@ -260,12 +286,14 @@ impl Evaluator<'_> {
             ));
         }
         self.depth += 1;
-        let mut scope = HashMap::new();
-        for (p, &v) in f.params.iter().zip(args) {
-            scope.insert(p.clone(), v);
+        let caller = (self.frame, self.scope);
+        (self.frame, self.scope) = (args, args);
+        for (slot, p) in self.vars[args..].iter_mut().zip(&f.params) {
+            slot.0 = p.as_str();
         }
-        let mut frame = Frame { scopes: vec![scope] };
-        let flow = self.block(&f.body, &mut frame)?;
+        let flow = self.block(&f.body)?;
+        self.vars.truncate(args);
+        (self.frame, self.scope) = caller;
         self.depth -= 1;
         Ok(match flow {
             Flow::Return(v) => v,
@@ -273,11 +301,11 @@ impl Evaluator<'_> {
         })
     }
 
-    fn block(&mut self, b: &Block, frame: &mut Frame) -> Result<Flow, EvalError> {
-        frame.scopes.push(HashMap::new());
+    fn block(&mut self, b: &'p Block) -> Result<Flow, EvalError> {
+        let outer = self.open();
         let mut out = Flow::Normal;
         for s in &b.stmts {
-            match self.stmt(s, frame)? {
+            match self.stmt(s)? {
                 Flow::Normal => {}
                 other => {
                     out = other;
@@ -285,34 +313,36 @@ impl Evaluator<'_> {
                 }
             }
         }
-        frame.scopes.pop();
+        self.close(outer);
         Ok(out)
     }
 
-    fn stmt(&mut self, s: &Stmt, frame: &mut Frame) -> Result<Flow, EvalError> {
+    fn stmt(&mut self, s: &'p Stmt) -> Result<Flow, EvalError> {
         self.step(s.line())?;
         match s {
             Stmt::Let { name, init, line } => {
-                let v = self.expr(init, frame)?.num(*line)?;
-                frame.declare(name, v);
+                let v = self.expr(init)?.num(*line)?;
+                self.declare(name, v);
                 Ok(Flow::Normal)
             }
             Stmt::Assign { target, op, value, line } => {
-                self.assign(target, *op, value, *line, frame)?;
+                self.assign(target, *op, value, *line)?;
                 Ok(Flow::Normal)
             }
             Stmt::For { var, start, end, body, line } => {
-                let start = self.expr(start, frame)?.num(*line)?;
-                let end = self.expr(end, frame)?.num(*line)?;
-                frame.scopes.push(HashMap::new());
-                frame.declare(var, start);
+                let start = self.expr(start)?.num(*line)?;
+                let end = self.expr(end)?.num(*line)?;
+                // One scope for the whole loop: the body's `let`s share it
+                // with the induction variable and survive across iterations.
+                let outer = self.open();
+                self.declare(var, start);
                 let mut i = start;
                 let mut out = Flow::Normal;
                 'iters: while i < end {
                     self.step(*line)?;
-                    frame.set(var, i);
+                    self.set(var, i);
                     for s in &body.stmts {
-                        match self.stmt(s, frame)? {
+                        match self.stmt(s)? {
                             Flow::Normal => {}
                             Flow::Break => break 'iters,
                             ret => {
@@ -323,53 +353,54 @@ impl Evaluator<'_> {
                     }
                     i += 1.0;
                 }
-                frame.scopes.pop();
+                self.close(outer);
                 Ok(out)
             }
             Stmt::While { cond, body, line } => {
                 let mut out = Flow::Normal;
                 'iters: loop {
-                    let c = self.expr(cond, frame)?.boolean(*line)?;
+                    let c = self.expr(cond)?.boolean(*line)?;
                     self.step(*line)?;
                     if !c {
                         break;
                     }
-                    frame.scopes.push(HashMap::new());
+                    // A fresh scope per iteration.
+                    let outer = self.open();
                     for s in &body.stmts {
-                        match self.stmt(s, frame)? {
+                        match self.stmt(s)? {
                             Flow::Normal => {}
                             Flow::Break => {
-                                frame.scopes.pop();
+                                self.close(outer);
                                 break 'iters;
                             }
                             ret => {
                                 out = ret;
-                                frame.scopes.pop();
+                                self.close(outer);
                                 break 'iters;
                             }
                         }
                     }
-                    frame.scopes.pop();
+                    self.close(outer);
                 }
                 Ok(out)
             }
             Stmt::If { cond, then_block, else_block, line } => {
-                let c = self.expr(cond, frame)?.boolean(*line)?;
+                let c = self.expr(cond)?.boolean(*line)?;
                 if c {
-                    self.block(then_block, frame)
+                    self.block(then_block)
                 } else if let Some(e) = else_block {
-                    self.block(e, frame)
+                    self.block(e)
                 } else {
                     Ok(Flow::Normal)
                 }
             }
             Stmt::Expr { expr, .. } => {
-                self.expr(expr, frame)?;
+                self.expr(expr)?;
                 Ok(Flow::Normal)
             }
             Stmt::Return { value, line } => {
                 let v = match value {
-                    Some(e) => self.expr(e, frame)?.num(*line)?,
+                    Some(e) => self.expr(e)?.num(*line)?,
                     None => 0.0,
                 };
                 Ok(Flow::Return(v))
@@ -380,24 +411,23 @@ impl Evaluator<'_> {
 
     fn assign(
         &mut self,
-        target: &LValue,
+        target: &'p LValue,
         op: AssignOp,
-        value: &Expr,
+        value: &'p Expr,
         line: u32,
-        frame: &mut Frame,
     ) -> Result<(), EvalError> {
         match target {
             LValue::Var(name) => {
                 let old = if op == AssignOp::Set {
                     0.0
                 } else {
-                    frame.get(name).ok_or_else(|| {
+                    self.get(name).ok_or_else(|| {
                         EvalError::fault(line, format!("undeclared variable `{name}`"))
                     })?
                 };
-                let rhs = self.expr(value, frame)?.num(line)?;
+                let rhs = self.expr(value)?.num(line)?;
                 let v = apply_assign(op, old, rhs, line)?;
-                if !frame.set(name, v) {
+                if !self.set(name, v) {
                     return Err(EvalError::fault(
                         line,
                         format!("assignment to undeclared variable `{name}`"),
@@ -409,54 +439,47 @@ impl Evaluator<'_> {
                 // Mirror the lowering's evaluation order: store indices
                 // first, then (compound only) the reload indices and old
                 // value, then the right-hand side.
-                let (ai, store_at) = self.element(array, indices, line, frame)?;
+                let store_at = self.element(array, indices, line)?;
                 let old = if op == AssignOp::Set {
                     0.0
                 } else {
-                    let (_, reload_at) = self.element(array, indices, line, frame)?;
-                    self.arrays[ai][reload_at]
+                    let reload_at = self.element(array, indices, line)?;
+                    self.cells[reload_at]
                 };
-                let rhs = self.expr(value, frame)?.num(line)?;
+                let rhs = self.expr(value)?.num(line)?;
                 let v = apply_assign(op, old, rhs, line)?;
-                self.arrays[ai][store_at] = v;
+                self.cells[store_at] = v;
                 Ok(())
             }
         }
     }
 
-    /// Resolve `array[indices]` to (array number, flat element offset).
-    fn element(
-        &mut self,
-        array: &str,
-        indices: &[Expr],
-        line: u32,
-        frame: &mut Frame,
-    ) -> Result<(usize, usize), EvalError> {
-        let (ai, g) = self
-            .prog
+    /// Resolve `array[indices]` to its offset in `cells`.
+    fn element(&mut self, array: &str, indices: &'p [Expr], line: u32) -> Result<usize, EvalError> {
+        let prog = self.prog;
+        let ai = prog
             .globals
             .iter()
-            .enumerate()
-            .find(|(_, g)| g.name == array)
+            .position(|g| g.name == array)
             .ok_or_else(|| EvalError::fault(line, format!("unknown array `{array}`")))?;
-        if indices.len() != g.dims.len() {
+        let dims = &prog.globals[ai].dims;
+        if indices.len() != dims.len() {
             return Err(EvalError::fault(
                 line,
                 format!(
                     "array `{array}` has {} dimension(s) but {} index(es) were given",
-                    g.dims.len(),
+                    dims.len(),
                     indices.len()
                 ),
             ));
         }
-        let dims = g.dims.clone();
-        let name = g.name.clone();
         let mut resolved = [0usize; 2];
         for (k, ix) in indices.iter().enumerate() {
-            let v = self.expr(ix, frame)?.num(line)?;
+            let v = self.expr(ix)?.num(line)?;
             let idx = v.trunc();
             let dim = dims[k];
             if idx < 0.0 || idx as usize >= dim || idx.is_nan() {
+                let name = &prog.globals[ai].name;
                 return Err(EvalError::fault(
                     line,
                     format!("index {idx} out of bounds for dimension {k} of `{name}` (size {dim})"),
@@ -465,47 +488,54 @@ impl Evaluator<'_> {
             resolved[k] = idx as usize;
         }
         let row = if dims.len() == 2 { dims[1] } else { 1 };
-        Ok((ai, resolved[0] * row + if indices.len() == 2 { resolved[1] } else { 0 }))
+        let at = resolved[0] * row + if indices.len() == 2 { resolved[1] } else { 0 };
+        Ok(self.bases[ai] + at)
     }
 
-    fn expr(&mut self, e: &Expr, frame: &mut Frame) -> Result<Value, EvalError> {
+    fn expr(&mut self, e: &'p Expr) -> Result<Value, EvalError> {
         self.step(e.line())?;
         match e {
             Expr::Number { value, .. } => Ok(Value::Num(*value)),
             Expr::Bool { value, .. } => Ok(Value::Bool(*value)),
-            Expr::Var { name, line } => match frame.get(name) {
+            Expr::Var { name, line } => match self.get(name) {
                 Some(v) => Ok(Value::Num(v)),
                 None => Err(EvalError::fault(*line, format!("undeclared variable `{name}`"))),
             },
             Expr::Index { array, indices, line } => {
-                let (ai, at) = self.element(array, indices, *line, frame)?;
-                Ok(Value::Num(self.arrays[ai][at]))
+                let at = self.element(array, indices, *line)?;
+                Ok(Value::Num(self.cells[at]))
             }
             Expr::Call { callee, args, line } => {
-                let mut vals = Vec::with_capacity(args.len());
+                // Arguments go onto the binding stack unnamed, so the
+                // caller's later lookups pass over them; a user callee's
+                // frame opens on them and names them.
+                let base = self.vars.len();
                 for a in args {
-                    vals.push(self.expr(a, frame)?.num(*line)?);
+                    let v = self.expr(a)?.num(*line)?;
+                    self.vars.push(("", v));
                 }
                 if is_builtin(callee) {
-                    return Ok(Value::Num(builtin(callee, &vals, *line)?));
+                    let out = builtin(callee, &self.vars[base..], *line)?;
+                    self.vars.truncate(base);
+                    return Ok(Value::Num(out));
                 }
                 let f = self.prog.function(callee).ok_or_else(|| {
                     EvalError::fault(*line, format!("unknown function `{callee}`"))
                 })?;
-                if vals.len() != f.params.len() {
+                if args.len() != f.params.len() {
                     return Err(EvalError::fault(
                         *line,
                         format!(
                             "`{callee}` expects {} argument(s), got {}",
                             f.params.len(),
-                            vals.len()
+                            args.len()
                         ),
                     ));
                 }
-                Ok(Value::Num(self.call(f, &vals)?))
+                Ok(Value::Num(self.call(f, base)?))
             }
             Expr::Unary { op, operand, line } => {
-                let v = self.expr(operand, frame)?;
+                let v = self.expr(operand)?;
                 match op {
                     UnOp::Neg => Ok(Value::Num(-v.num(*line)?)),
                     UnOp::Not => Ok(Value::Bool(!v.boolean(*line)?)),
@@ -513,16 +543,16 @@ impl Evaluator<'_> {
             }
             Expr::Binary { op, lhs, rhs, line } => {
                 if op.is_logical() {
-                    let l = self.expr(lhs, frame)?.boolean(*line)?;
+                    let l = self.expr(lhs)?.boolean(*line)?;
                     let take_rhs = match op {
                         BinOp::And => l,
                         _ => !l,
                     };
-                    let out = if take_rhs { self.expr(rhs, frame)?.boolean(*line)? } else { l };
+                    let out = if take_rhs { self.expr(rhs)?.boolean(*line)? } else { l };
                     return Ok(Value::Bool(out));
                 }
-                let l = self.expr(lhs, frame)?.num(*line)?;
-                let r = self.expr(rhs, frame)?.num(*line)?;
+                let l = self.expr(lhs)?.num(*line)?;
+                let r = self.expr(rhs)?.num(*line)?;
                 Ok(match op {
                     BinOp::Add => Value::Num(l + r),
                     BinOp::Sub => Value::Num(l - r),
@@ -566,7 +596,8 @@ fn arith_rem(l: f64, r: f64, line: u32) -> Result<f64, EvalError> {
     Ok(l.rem_euclid(r))
 }
 
-fn builtin(name: &str, args: &[f64], line: u32) -> Result<f64, EvalError> {
+/// Apply a builtin to its arguments, as the caller pushed them unnamed.
+fn builtin(name: &str, args: &[(&str, f64)], line: u32) -> Result<f64, EvalError> {
     let arity = match name {
         "min" | "max" => 2,
         _ => 1,
@@ -578,11 +609,11 @@ fn builtin(name: &str, args: &[f64], line: u32) -> Result<f64, EvalError> {
         ));
     }
     Ok(match name {
-        "sqrt" => args[0].sqrt(),
-        "abs" => args[0].abs(),
-        "min" => args[0].min(args[1]),
-        "max" => args[0].max(args[1]),
-        "floor" => args[0].floor(),
+        "sqrt" => args[0].1.sqrt(),
+        "abs" => args[0].1.abs(),
+        "min" => args[0].1.min(args[1].1),
+        "max" => args[0].1.max(args[1].1),
+        "floor" => args[0].1.floor(),
         _ => return Err(EvalError::fault(line, format!("unknown builtin `{name}`"))),
     })
 }

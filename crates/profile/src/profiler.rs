@@ -23,12 +23,14 @@
 //! profile already holds, so the tables are shaped to notice that cheaply:
 //! a dependence equal to the last one recorded for its sink instruction and
 //! kind skips the set insert, and a per-loop entry is a `Copy` value whose
-//! line update is O(1) and allocates nothing. Per-loop entries live in one
-//! vector per loop behind a flat `(loop, address)` index, cross-loop pairs
-//! in a flat `(x, y, address)` map, trip statistics in a vector by loop;
-//! [`DependenceProfiler::into_data`] nests them into [`ProfileData`]'s
-//! shape once. Every table keyed by address hashes with the crate's integer
-//! hasher instead of SipHash.
+//! line update is O(1) and allocates nothing. Shadow memory is a map from
+//! address to shadow entry, and each shadow entry links to its address's
+//! per-loop entries (one link per loop that touched it), so an access costs
+//! one hash however many loops are live. Per-loop entries live in one vector
+//! per loop, cross-loop pairs in a flat `(x, y, address)` map, trip
+//! statistics in a vector by loop; [`DependenceProfiler::into_data`] nests
+//! them into [`ProfileData`]'s shape once. Every table keyed by address
+//! hashes with the crate's integer hasher instead of SipHash.
 
 use std::rc::Rc;
 
@@ -69,10 +71,97 @@ struct AccessRec {
     chain: Rc<[ChainFrame]>,
 }
 
-#[derive(Debug, Default)]
+/// The shadow of one address.
+#[derive(Debug)]
 struct Shadow {
     last_write: Option<AccessRec>,
     last_read: Option<AccessRec>,
+    /// The first of this address's links in [`LineTable::links`], or
+    /// [`NO_LINK`].
+    lines: u32,
+}
+
+impl Default for Shadow {
+    fn default() -> Self {
+        Shadow { last_write: None, last_read: None, lines: NO_LINK }
+    }
+}
+
+/// Marks the end of a chain of [`Link`]s.
+const NO_LINK: u32 = u32::MAX;
+
+/// One loop's access-line entry for one address, in that address's chain.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    l: LoopId,
+    /// Index into the loop's entries.
+    entry: u32,
+    /// The address's next link, or [`NO_LINK`].
+    next: u32,
+}
+
+/// Per-loop access lines (Algorithm 3's input). An address reaches its
+/// entries through the chain of links its shadow entry heads: one link per
+/// loop that touched it, newest first.
+#[derive(Debug)]
+struct LineTable {
+    /// Entries per loop (indexed by loop), in order of first access.
+    lines: Vec<Vec<(u64, AccessLines)>>,
+    /// Every address's links, in one arena.
+    links: Vec<Link>,
+    /// `(loop, entry index)` for each live loop, for the access being
+    /// recorded.
+    touched: Vec<(LoopId, u32)>,
+}
+
+impl LineTable {
+    /// Add the access's line to its entry in every distinct live loop,
+    /// creating entries (and links from `head`) on first touch, and
+    /// remember each entry's index in `touched`.
+    fn note(
+        &mut self,
+        head: &mut u32,
+        live_loops: &[LoopId],
+        prog: &IrProgram,
+        access: &MemAccess,
+    ) {
+        self.touched.clear();
+        for &l in live_loops {
+            let mut at = *head;
+            let idx = loop {
+                if at == NO_LINK {
+                    let entries = &mut self.lines[l as usize];
+                    let idx =
+                        u32::try_from(entries.len()).expect("fewer than 2^32 entries per loop");
+                    entries.push((access.addr, AccessLines::default()));
+                    self.links.push(Link { l, entry: idx, next: *head });
+                    *head = u32::try_from(self.links.len() - 1).expect("fewer than 2^32 links");
+                    break idx;
+                }
+                let link = self.links[at as usize];
+                if link.l == l {
+                    break link.entry;
+                }
+                at = link.next;
+            };
+            let e = &mut self.lines[l as usize][idx as usize].1;
+            match access.kind {
+                AccessKind::Read => e.read_lines.add(access.line),
+                AccessKind::Write => e.write_lines.add(access.line),
+            }
+            e.has_line_zero |= access.line == 0;
+            if e.name_inst.is_none() && names_variable(&prog.insts[access.inst as usize].kind) {
+                e.name_inst = Some(access.inst);
+            }
+            self.touched.push((l, idx));
+        }
+    }
+
+    /// The current access's line entry for live loop `l`.
+    fn touched_entry(&mut self, l: LoopId) -> Option<&mut AccessLines> {
+        let &(_, idx) = self.touched.iter().find(|(t, _)| *t == l)?;
+        Some(&mut self.lines[l as usize][idx as usize].1)
+    }
 }
 
 /// The last dependence and lifted region pair inserted for one
@@ -91,6 +180,10 @@ pub struct DependenceProfiler<'p> {
     /// Dependences, instruction counts and the run count; the per-loop
     /// tables below are moved in by [`DependenceProfiler::into_data`].
     data: ProfileData,
+    /// Shadow memory by address. A map, not a table indexed by address:
+    /// its size follows the addresses touched, where a table would follow
+    /// the cells declared (up to `max_mem_cells`) or, for frames, which are
+    /// never reused, every slot of every call.
     shadow: IntMap<u64, Shadow>,
     loop_stack: Vec<LoopFrame>,
     /// The distinct loops on `loop_stack`, in order of first push.
@@ -107,14 +200,7 @@ pub struct DependenceProfiler<'p> {
     /// loop/call event changes them.
     cached_stack: Option<Rc<[LoopFrame]>>,
     cached_chain: Option<Rc<[ChainFrame]>>,
-    /// Per-loop access lines (indexed by loop), each loop's entries in
-    /// order of first access.
-    lines: Vec<Vec<(u64, AccessLines)>>,
-    /// `(loop, address)` → index into that loop's entries.
-    line_index: IntMap<(LoopId, u64), usize>,
-    /// `(loop, entry index)` for each live loop, for the access being
-    /// recorded.
-    touched: Vec<(LoopId, usize)>,
+    lines: LineTable,
     /// Cross-loop iteration pairs keyed by `(x, y, address)`.
     cross_pairs: IntMap<(LoopId, LoopId, u64), (u64, u64)>,
     /// Trip statistics per loop (indexed by loop; `None` until entered).
@@ -140,9 +226,11 @@ impl<'p> DependenceProfiler<'p> {
             next_instance: 0,
             cached_stack: None,
             cached_chain: None,
-            lines: vec![Vec::new(); prog.loop_count()],
-            line_index: IntMap::default(),
-            touched: Vec::new(),
+            lines: LineTable {
+                lines: vec![Vec::new(); prog.loop_count()],
+                links: Vec::new(),
+                touched: Vec::new(),
+            },
             cross_pairs: IntMap::default(),
             loop_stats: vec![None; prog.loop_count()],
             last_insert: vec![LastInsert::default(); prog.inst_count() * 3],
@@ -152,12 +240,17 @@ impl<'p> DependenceProfiler<'p> {
     /// Consume the profiler and return the collected data.
     pub fn into_data(self) -> ProfileData {
         let DependenceProfiler {
-            mut data, shadow, line_index, lines, cross_pairs, loop_stats, ..
+            mut data,
+            shadow,
+            lines: LineTable { lines, links, .. },
+            cross_pairs,
+            loop_stats,
+            ..
         } = self;
         // The per-address tables go before the output is built, so the two
         // are never live at once.
         drop(shadow);
-        drop(line_index);
+        drop(links);
         // Bulk-built in place: one sort per loop (addresses mostly arrive
         // in order) instead of a tree insert per entry.
         for (l, entries) in (0..).zip(lines) {
@@ -251,37 +344,6 @@ impl<'p> DependenceProfiler<'p> {
         (DepSite::Intra, None)
     }
 
-    /// Add the access's line to the entry of every distinct live loop and
-    /// remember each entry's index in `touched`.
-    fn note_access_lines(&mut self, access: &MemAccess) {
-        self.touched.clear();
-        let prog = self.prog;
-        for &l in &self.live_loops {
-            let entries = &mut self.lines[l as usize];
-            let fresh = entries.len();
-            let idx = *self.line_index.entry((l, access.addr)).or_insert(fresh);
-            if idx == fresh {
-                entries.push((access.addr, AccessLines::default()));
-            }
-            let e = &mut entries[idx].1;
-            match access.kind {
-                AccessKind::Read => e.read_lines.add(access.line),
-                AccessKind::Write => e.write_lines.add(access.line),
-            }
-            e.has_line_zero |= access.line == 0;
-            if e.name_inst.is_none() && names_variable(&prog.insts[access.inst as usize].kind) {
-                e.name_inst = Some(access.inst);
-            }
-            self.touched.push((l, idx));
-        }
-    }
-
-    /// The current access's line entry for live loop `l`.
-    fn touched_entry(&mut self, l: LoopId) -> Option<&mut AccessLines> {
-        let &(_, idx) = self.touched.iter().find(|(t, _)| *t == l)?;
-        Some(&mut self.lines[l as usize][idx].1)
-    }
-
     /// Record the dependence from `src` to the current access and return
     /// its classification.
     fn observe(
@@ -308,10 +370,10 @@ impl<'p> DependenceProfiler<'p> {
     }
 
     fn on_read(&mut self, access: MemAccess) {
-        self.note_access_lines(&access);
         let stack = self.snapshot();
         let chain = self.chain_snapshot();
         let shadow = self.shadow.entry(access.addr).or_default();
+        self.lines.note(&mut shadow.lines, &self.live_loops, self.prog, &access);
         let last_write = shadow.last_write.clone();
         shadow.last_read = Some(AccessRec {
             inst: access.inst,
@@ -326,7 +388,7 @@ impl<'p> DependenceProfiler<'p> {
                 self.cross_pairs.entry((x, y, access.addr)).or_insert(pair);
             }
             (DepSite::Carried { l, .. }, _) => {
-                if let Some(e) = self.touched_entry(l) {
+                if let Some(e) = self.lines.touched_entry(l) {
                     e.inter_iteration = true;
                 }
             }
@@ -335,10 +397,10 @@ impl<'p> DependenceProfiler<'p> {
     }
 
     fn on_write(&mut self, access: MemAccess) {
-        self.note_access_lines(&access);
         let stack = self.snapshot();
         let chain = self.chain_snapshot();
         let shadow = self.shadow.entry(access.addr).or_default();
+        self.lines.note(&mut shadow.lines, &self.live_loops, self.prog, &access);
         let last_read = shadow.last_read.take();
         let last_write = shadow.last_write.replace(AccessRec {
             inst: access.inst,
@@ -352,7 +414,7 @@ impl<'p> DependenceProfiler<'p> {
             if let (DepSite::Carried { l, .. }, _) =
                 self.observe(&w, access.inst, &stack, &chain, DepKind::Waw)
             {
-                if let Some(e) = self.touched_entry(l) {
+                if let Some(e) = self.lines.touched_entry(l) {
                     e.rewritten = true;
                 }
             }
@@ -812,6 +874,36 @@ fn main() { fib(8); }";
         let (c1, c2) = (call_insts[0], call_insts[1]);
         assert!(!data.region_deps.contains(&(c1, c2, DepKind::Raw)));
         assert!(!data.region_deps.contains(&(c2, c1, DepKind::Raw)));
+    }
+
+    /// The number of shadow entries for global addresses after profiling
+    /// `src`.
+    fn global_shadow_entries(src: &str) -> usize {
+        let ir = compile(src).unwrap();
+        let mut profiler = DependenceProfiler::new(&ir);
+        run_function(&ir, ir.entry.unwrap(), &[], &mut profiler, ExecLimits::default()).unwrap();
+        profiler.shadow.keys().filter(|&&addr| addr < parpat_ir::lower::FRAME_REGION_BASE).count()
+    }
+
+    #[test]
+    fn shadow_grows_with_the_addresses_touched() {
+        // 2^24 declared cells, the default `max_mem_cells`: shadow holds
+        // one entry per cell touched, for two end cells and for a stride
+        // of 1024 alike.
+        assert_eq!(
+            global_shadow_entries(
+                "global a[16777216];
+                 fn main() { a[0] = 1; a[16777215] = 2; }"
+            ),
+            2
+        );
+        assert_eq!(
+            global_shadow_entries(
+                "global a[16777216];
+                 fn main() { for i in 0..16384 { a[i * 1024] = 1; } }"
+            ),
+            16384
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The [`Pass`] trait and a [`PassManager`] that refuses to cut corners:
 //! the structural verifier runs after *every* pass, and each pass's wall
-//! time is recorded so the engine's stats (and `BENCH_static.json`) can
-//! show where analysis time goes.
+//! time is recorded so the engine's stats (and the static benchmark's
+//! per-pass report) can show where analysis time goes.
 
 use crate::cfg::SsaFunc;
 use crate::verify::{verify_func, SsaViolation};

@@ -319,7 +319,9 @@ pub fn sort_diagnostics(diags: &mut [Diagnostic]) {
     diags.sort_by(|a, b| (a.line, a.code, &a.message).cmp(&(b.line, b.code, &b.message)));
 }
 
-/// Minimal JSON string escaping (the crate is dependency-free by design).
+/// JSON string escaping: quotes, backslashes and control characters (`\n`,
+/// `\r` and `\t` by name, the rest as `\u00XX`). The workspace's one
+/// escaper; `parpat_engine::stats` re-exports it.
 pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
@@ -383,6 +385,14 @@ mod tests {
         assert!(j.contains("\"code\": \"L003\""));
         assert!(j.contains("\"severity\": \"error\""));
         assert!(j.contains("\\\"y"));
+    }
+
+    #[test]
+    fn json_str_escapes_quotes_backslashes_and_control_characters() {
+        assert_eq!(json_str("a\"b\\c"), "\"a\\\"b\\\\c\"");
+        assert_eq!(json_str("\n\r\t"), "\"\\n\\r\\t\"");
+        assert_eq!(json_str("\u{1}\u{1f}"), "\"\\u0001\\u001f\"");
+        assert_eq!(json_str("µs · ok"), "\"µs · ok\"");
     }
 
     #[test]

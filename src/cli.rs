@@ -9,6 +9,7 @@ use parpat_core::{
     analyze_source, infer_operator, rank_patterns, render_ranking, suggest_fission,
     suggest_peeling, AnalysisConfig, RankConfig,
 };
+use parpat_static::diag::json_str;
 
 /// Usage text printed on demand and on argument errors.
 pub const USAGE: &str =
@@ -49,7 +50,7 @@ USAGE:
     parpat demo <app> [--json]                       analyze a bundled benchmark (e.g. sort, ludcmp)
     parpat apps                                      list the bundled benchmarks
     parpat dot <file.ml> [--region <function>]       Graphviz DOT of a region's classified CU graph
-    parpat help                                      this text
+    parpat help | --help | -h                        this text
 
 Batch runs default to the `.parpat-cache` cache directory (pass
 `--cache-dir none` for a purely in-memory cache); a warm second run skips
@@ -105,7 +106,7 @@ synthetic reduction programs.";
 /// Returns the text to print, or an error message (exit status 1).
 pub fn run(args: &[String]) -> Result<String, String> {
     match args.first().map(String::as_str) {
-        Some("help") | None => Ok(USAGE.to_owned()),
+        Some("help" | "--help" | "-h") | None => Ok(USAGE.to_owned()),
         Some("analyze") => {
             let (path, opts) = split_opts(&args[1..])?;
             check_opts(
@@ -800,24 +801,6 @@ fn join_u32(lines: &[u32]) -> String {
     strs.join(", ")
 }
 
-/// Escape a string for JSON output.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Machine-readable report of an analysis: the detected patterns, ranked,
 /// with the transformation suggestions. Hand-rolled JSON (keeps the
 /// dependency set to the pre-approved crates).
@@ -954,8 +937,11 @@ fn main() {
 
     #[test]
     fn help_prints_usage() {
-        assert!(run(&args(&["help"])).unwrap().contains("USAGE"));
-        assert!(run(&[]).unwrap().contains("USAGE"));
+        for spelling in ["help", "--help", "-h"] {
+            assert_eq!(run(&args(&[spelling])).unwrap(), USAGE, "{spelling}");
+        }
+        assert!(USAGE.contains("parpat help | --help | -h"));
+        assert_eq!(run(&[]).unwrap(), USAGE);
     }
 
     #[test]
