@@ -57,6 +57,17 @@ cargo test -q -p parpat-minilang --test fuzz
 # to the checked-in golden reproducer byte-for-byte.
 ./target/release/parpat shrink tests/fixtures/miscompile_seed.ml --inject swap-add-sub \
     | diff tests/golden/shrink_miscompile.txt -
+# Disk-tier gate: a cold then a warm batch over the suite into an empty
+# cache dir. The dir must hold three records per program (parse, lower and
+# report), the warm run must serve all 17 programs from them, and the dir
+# must scrub clean.
+rm -rf target/tmp/ci-cache
+./target/release/parpat batch apps --cache-dir target/tmp/ci-cache > /dev/null
+./target/release/parpat batch apps --cache-dir target/tmp/ci-cache --json \
+    > target/tmp/ci-cache-warm.json
+test "$(find target/tmp/ci-cache -name '*.rec' | wc -l)" -eq 51
+grep -q '"served_from_cache": 17' target/tmp/ci-cache-warm.json
+./target/release/parpat fsck target/tmp/ci-cache
 # Serve-layer chaos soak: concurrent clients under fault injection and
 # socket-level hostility — zero panics, byte-identical successful
 # reports, structured errors for every shed/faulted/timed-out request.

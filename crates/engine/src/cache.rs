@@ -5,13 +5,13 @@
 //! one process skip recomputation entirely.
 //!
 //! **Disk tier** (optional, under a cache directory) — one small record
-//! file per key holding the stage's *output digest*, the profiled
-//! instruction count (profile stage), and for the terminal rank stage the
-//! full [`ProgramReport`] payload. Records chain digests across stages, so
-//! a fresh process can prove an entire pipeline unchanged — and emit the
-//! persisted report — without materializing a single intermediate
-//! artifact. Only when a mid-chain stage misses (changed source or config)
-//! do upstream artifacts get recomputed.
+//! file per key of the parse, lower and rank stages: the stage's *output
+//! digest*, and for rank the full [`ProgramReport`] payload. The parse and
+//! lower digests are the two taken from content; every later key derives
+//! from the lower digest, so a fresh process reaches a persisted report in
+//! three reads without materializing a single artifact. The other stages'
+//! artifacts live in the memory tier only: a record of theirs would hold
+//! nothing but a digest the engine derives anyway.
 //!
 //! Records are written via temp-file + rename (unique temp names per
 //! writer) so concurrent batch jobs never observe a torn file. A record
@@ -26,10 +26,13 @@
 //! Records carry a `sum` line — an FNV-1a checksum over the record body —
 //! so bit-rot that still parses structurally reads as corruption, not as
 //! a wrong answer served from cache. Legacy records without the line
-//! still parse. A disk-tier write failing with ENOSPC disables further
-//! record writes (reads and the memory tier keep working) instead of
-//! failing every insert against a full disk; the suppressed writes are
-//! counted ([`Cache::disabled_writes`]).
+//! still parse, and so do the digest-only records older releases wrote
+//! for the other stages (a profile's with an `insts` line): the engine
+//! never reads them, but `parpat fsck` scrubs them. A disk-tier write
+//! failing with ENOSPC disables further record writes (reads and the
+//! memory tier keep working) instead of failing every insert against a
+//! full disk; the suppressed writes are counted
+//! ([`Cache::disabled_writes`]).
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -62,20 +65,22 @@ pub enum Artifact {
     Ast(Arc<Program>),
     /// Lowered IR.
     Ir(Arc<IrProgram>),
-    /// Static dependence verdicts per loop.
+    /// Static dependence verdicts per loop (memory tier only).
     Static(Arc<StaticReport>),
     /// One function's static loop reports — a per-function fragment of the
     /// static stage, keyed by the function digest (memory tier only).
     StaticFunc(Arc<Vec<LoopReport>>),
-    /// Computational units.
+    /// Computational units (memory tier only).
     Cus(Arc<CuSet>),
     /// One function's CU set with fragment-local ids — a per-function
     /// fragment of the cu stage, keyed by the function digest (memory tier
     /// only).
     CuFunc(Arc<CuSet>),
-    /// Dependence profile + PET from the instrumented run.
+    /// Dependence profile + PET from the instrumented run (memory tier
+    /// only).
     Profile(Arc<ProfiledRun>),
-    /// Assembled analysis with every detector's findings.
+    /// Assembled analysis with every detector's findings (memory tier
+    /// only).
     Analysis(Arc<Analysis>),
     /// Terminal report.
     Report(Arc<ProgramReport>),
@@ -86,8 +91,6 @@ pub enum Artifact {
 pub struct DiskRecord {
     /// The stage's output digest (chains into downstream keys).
     pub digest: u64,
-    /// Dynamic instruction count (profile stage only).
-    pub insts: Option<u64>,
     /// Terminal report payload (rank stage only).
     pub report: Option<ProgramReport>,
 }
@@ -123,7 +126,6 @@ pub struct Cache {
     capacity: usize,
     dir: Option<PathBuf>,
     evictions: AtomicU64,
-    disk_reads: AtomicU64,
     disk_writes: AtomicU64,
     recovered: AtomicU64,
     quarantine_evicted: AtomicU64,
@@ -158,7 +160,6 @@ impl Cache {
             capacity: capacity.max(1),
             dir,
             evictions: AtomicU64::new(0),
-            disk_reads: AtomicU64::new(0),
             disk_writes: AtomicU64::new(0),
             recovered: AtomicU64::new(0),
             quarantine_evicted: AtomicU64::new(0),
@@ -169,33 +170,35 @@ impl Cache {
 
     /// Probe the memory tier, then the disk tier.
     pub fn lookup(&self, key: Key) -> Lookup {
-        {
-            let mut mem = lock_recover(&self.mem);
-            mem.clock += 1;
-            let tick = mem.clock;
-            if let Some(e) = mem.entries.get_mut(&key) {
-                e.tick = tick;
-                return Lookup::Memory(e.artifact.clone(), e.digest);
-            }
+        match self.get(key) {
+            Some((artifact, digest)) => Lookup::Memory(artifact, digest),
+            None => self.read_record(key).map_or(Lookup::Miss, Lookup::Disk),
         }
-        match self.read_record(key) {
-            Some(rec) => Lookup::Disk(rec),
-            None => Lookup::Miss,
-        }
+    }
+
+    /// Probe the memory tier alone, refreshing the entry's recency.
+    pub(crate) fn get(&self, key: Key) -> Option<(Artifact, u64)> {
+        let mut mem = lock_recover(&self.mem);
+        mem.clock += 1;
+        let tick = mem.clock;
+        let e = mem.entries.get_mut(&key)?;
+        e.tick = tick;
+        Some((e.artifact.clone(), e.digest))
     }
 
     /// Store a freshly computed stage output in both tiers. A report is
     /// rendered into its disk record by reference, never copied.
-    pub fn insert(&self, key: Key, digest: u64, artifact: Artifact, insts: Option<u64>) {
+    pub fn insert(&self, key: Key, digest: u64, artifact: Artifact) {
         let report = match &artifact {
             Artifact::Report(r) => Some(Arc::clone(r)),
             _ => None,
         };
         self.insert_memory(key, digest, artifact);
-        self.write_record(key, digest, insts, report.as_deref());
+        self.write_record(key, digest, report.as_deref());
     }
 
-    /// Store into the memory tier only (used to promote disk hits).
+    /// Store into the memory tier only: the memory-only artifacts, and
+    /// reports promoted from disk hits.
     pub fn insert_memory(&self, key: Key, digest: u64, artifact: Artifact) {
         let mut mem = lock_recover(&self.mem);
         mem.clock += 1;
@@ -219,11 +222,6 @@ impl Cache {
     /// Total LRU evictions since creation.
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Successful disk record reads since creation.
-    pub fn disk_reads(&self) -> u64 {
-        self.disk_reads.load(Ordering::Relaxed)
     }
 
     /// Disk record writes since creation.
@@ -265,23 +263,18 @@ impl Cache {
     fn read_record(&self, key: Key) -> Option<DiskRecord> {
         let path = self.record_path(key)?;
         let bytes = self.vfs.read(&path).ok()?;
-        match parse_record(&bytes) {
-            Some(rec) => {
-                self.disk_reads.fetch_add(1, Ordering::Relaxed);
-                Some(rec)
+        let rec = parse_record(&bytes);
+        if rec.is_none() {
+            // Corrupt record: quarantine it out of the key's path so the
+            // slot reads as a miss and the next execution regenerates it,
+            // instead of failing this key forever.
+            self.evict_excess_quarantine();
+            if self.vfs.rename(&path, &path.with_extension("corrupt")).is_err() {
+                let _ = self.vfs.remove_file(&path);
             }
-            None => {
-                // Corrupt record: quarantine it out of the key's path so
-                // the slot reads as a miss and the next execution
-                // regenerates it, instead of failing this key forever.
-                self.evict_excess_quarantine();
-                if self.vfs.rename(&path, &path.with_extension("corrupt")).is_err() {
-                    let _ = self.vfs.remove_file(&path);
-                }
-                self.recovered.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+            self.recovered.fetch_add(1, Ordering::Relaxed);
         }
+        rec
     }
 
     /// Keep the quarantine below [`QUARANTINE_CAP`] before admitting one
@@ -309,13 +302,7 @@ impl Cache {
         }
     }
 
-    fn write_record(
-        &self,
-        key: Key,
-        digest: u64,
-        insts: Option<u64>,
-        report: Option<&ProgramReport>,
-    ) {
+    fn write_record(&self, key: Key, digest: u64, report: Option<&ProgramReport>) {
         let Some(path) = self.record_path(key) else { return };
         if self.disk_write_disabled.load(Ordering::Relaxed) {
             self.disabled_writes.fetch_add(1, Ordering::Relaxed);
@@ -326,7 +313,7 @@ impl Cache {
             std::process::id(),
             TMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
-        let bytes = render_record(digest, insts, report);
+        let bytes = render_record(digest, report);
         let outcome = self.vfs.write(&tmp, &bytes).and_then(|()| self.vfs.rename(&tmp, &path));
         match outcome {
             Ok(()) => {
@@ -362,8 +349,8 @@ pub(crate) enum RecordIssue {
 /// length-prefixed raw bytes, so no escaping is needed. A `sum` line
 /// (FNV-1a over everything after it) follows the magic so in-body rot is
 /// detected on read.
-fn render_record(digest: u64, insts: Option<u64>, report: Option<&ProgramReport>) -> Vec<u8> {
-    let body = render_body(digest, insts, report);
+fn render_record(digest: u64, report: Option<&ProgramReport>) -> Vec<u8> {
+    let body = render_body(digest, report);
     let mut out = Vec::new();
     out.extend_from_slice(b"parpat-rec-v2\n");
     out.extend_from_slice(format!("sum {:016x}\n", hash_bytes(&body)).as_bytes());
@@ -371,12 +358,9 @@ fn render_record(digest: u64, insts: Option<u64>, report: Option<&ProgramReport>
     out
 }
 
-fn render_body(digest: u64, insts: Option<u64>, report: Option<&ProgramReport>) -> Vec<u8> {
+fn render_body(digest: u64, report: Option<&ProgramReport>) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(format!("digest {digest:016x}\n").as_bytes());
-    if let Some(insts) = insts {
-        out.extend_from_slice(format!("insts {insts}\n").as_bytes());
-    }
     if let Some(r) = report {
         let mut head = format!(
             "report {} {} {} {} {} {} {} {} {} {} {}",
@@ -443,11 +427,12 @@ fn parse_body(bytes: &[u8]) -> Option<DiskRecord> {
     };
     let digest_line = std::str::from_utf8(line()?).ok()?;
     let digest = u64::from_str_radix(digest_line.strip_prefix("digest ")?, 16).ok()?;
-    let mut rec = DiskRecord { digest, insts: None, report: None };
+    let mut rec = DiskRecord { digest, report: None };
     while let Some(l) = line() {
         let l = std::str::from_utf8(l).ok()?;
         if let Some(v) = l.strip_prefix("insts ") {
-            rec.insts = Some(v.parse().ok()?);
+            // Older releases' profile records: validated, not kept.
+            v.parse::<u64>().ok()?;
         } else if let Some(v) = l.strip_prefix("report ") {
             let nums: Vec<u64> = v.split(' ').map(str::parse).collect::<Result<_, _>>().ok()?;
             if nums.len() < 11 {
@@ -522,18 +507,16 @@ mod tests {
 
     #[test]
     fn record_roundtrip_with_report() {
-        let parsed =
-            parse_record(&render_record(0xDEADBEEF, Some(77), Some(&report()))).expect("parses");
+        let parsed = parse_record(&render_record(0xDEADBEEF, Some(&report()))).expect("parses");
         assert_eq!(parsed.digest, 0xDEADBEEF);
-        assert_eq!(parsed.insts, Some(77));
         assert_eq!(parsed.report, Some(report()));
     }
 
     #[test]
     fn record_roundtrip_digest_only() {
-        let parsed = parse_record(&render_record(42, None, None)).expect("parses");
+        let parsed = parse_record(&render_record(42, None)).expect("parses");
         assert_eq!(parsed.digest, 42);
-        assert!(parsed.insts.is_none() && parsed.report.is_none());
+        assert!(parsed.report.is_none());
     }
 
     #[test]
@@ -541,6 +524,7 @@ mod tests {
         assert!(parse_record(b"").is_none());
         assert!(parse_record(b"parpat-rec-v2\n").is_none());
         assert!(parse_record(b"parpat-rec-v2\ndigest zzz\n").is_none());
+        assert!(parse_record(b"parpat-rec-v2\ndigest 01\ninsts three\n").is_none());
         // Stale v1 records (pre cross-validation) fail the magic.
         assert!(parse_record(b"parpat-rec-v1\ndigest 0000000000000001\n").is_none());
         // Old 8-number report header.
@@ -556,7 +540,7 @@ mod tests {
 
     #[test]
     fn parse_record_never_panics_on_mutated_or_truncated_bytes() {
-        let valid = render_record(0xABCD_EF01, Some(77), Some(&report()));
+        let valid = render_record(0xABCD_EF01, Some(&report()));
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         for _ in 0..2000 {
             // Flip 1–4 bytes of a valid record at xorshift-chosen offsets.
@@ -600,7 +584,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("parpat-quarantine-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = Cache::new(4, Some(dir.clone())).unwrap();
-        cache.insert(9, 90, Artifact::Report(Arc::new(report())), None);
+        cache.insert(9, 90, Artifact::Report(Arc::new(report())));
         let rec_path = dir.join(format!("{:016x}.rec", 9));
         std::fs::write(&rec_path, b"parpat-rec-v1\ndigest zzz\n").unwrap();
 
@@ -612,7 +596,7 @@ mod tests {
         assert!(rec_path.with_extension("corrupt").exists());
 
         // The slot regenerates and serves again.
-        cache.insert(9, 90, Artifact::Report(Arc::new(report())), None);
+        cache.insert(9, 90, Artifact::Report(Arc::new(report())));
         let cache = Cache::new(4, Some(dir.clone())).unwrap();
         assert!(matches!(cache.lookup(9), Lookup::Disk(_)));
         let _ = std::fs::remove_dir_all(&dir);
@@ -636,11 +620,11 @@ mod tests {
                 consistency_errors: vec![],
             }))
         };
-        cache.insert(1, 10, art(1), None);
-        cache.insert(2, 20, art(2), None);
+        cache.insert(1, 10, art(1));
+        cache.insert(2, 20, art(2));
         // Touch 1 so 2 becomes LRU.
         assert!(matches!(cache.lookup(1), Lookup::Memory(..)));
-        cache.insert(3, 30, art(3), None);
+        cache.insert(3, 30, art(3));
         assert_eq!(cache.evictions(), 1);
         assert!(matches!(cache.lookup(2), Lookup::Miss));
         assert!(matches!(cache.lookup(1), Lookup::Memory(..)));
@@ -650,7 +634,7 @@ mod tests {
 
     #[test]
     fn bit_rot_in_a_record_body_reads_as_checksum_corruption() {
-        let valid = render_record(0xABCD, Some(7), Some(&report()));
+        let valid = render_record(0xABCD, Some(&report()));
         let mut rotted = valid.clone();
         let at = rotted.len() - 4; // inside the ranking payload
         rotted[at] ^= 0x20;
@@ -659,13 +643,13 @@ mod tests {
         assert!(parse_record(&rotted).is_none(), "a rotted record is a miss");
     }
 
+    /// The body is an old profile record, instruction count and all:
+    /// records older releases wrote must still parse.
     #[test]
     fn legacy_records_without_a_sum_line_still_parse() {
-        let mut legacy = b"parpat-rec-v2\n".to_vec();
-        legacy.extend_from_slice(&render_body(0x42, Some(3), None));
-        let parsed = parse_record(&legacy).expect("legacy record parses");
+        let legacy = b"parpat-rec-v2\ndigest 0000000000000042\ninsts 3\n";
+        let parsed = parse_record(legacy).expect("legacy record parses");
         assert_eq!(parsed.digest, 0x42);
-        assert_eq!(parsed.insts, Some(3));
     }
 
     #[test]
@@ -705,12 +689,12 @@ mod tests {
         let vfs = Arc::new(SimFs::new());
         let dir = PathBuf::from("/cache");
         let cache = Cache::new_via(vfs.clone(), 4, Some(dir.clone())).unwrap();
-        cache.insert(1, 10, Artifact::Report(Arc::new(report())), None);
+        cache.insert(1, 10, Artifact::Report(Arc::new(report())));
         assert_eq!(cache.disk_writes(), 1);
         vfs.set_fault(Some(DiskFault::Enospc { at: vfs.ops() + 1, partial: Some(0) }));
-        cache.insert(2, 20, Artifact::Report(Arc::new(report())), None);
+        cache.insert(2, 20, Artifact::Report(Arc::new(report())));
         assert!(cache.disk_write_disabled(), "ENOSPC write failure disables the tier");
-        cache.insert(3, 30, Artifact::Report(Arc::new(report())), None);
+        cache.insert(3, 30, Artifact::Report(Arc::new(report())));
         assert_eq!(cache.disk_writes(), 1, "no further disk writes attempted");
         assert_eq!(cache.disabled_writes(), 2);
         // The memory tier still serves all three; the disk tier still
@@ -729,7 +713,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         {
             let cache = Cache::new(4, Some(dir.clone())).unwrap();
-            cache.insert(7, 70, Artifact::Report(Arc::new(report())), Some(9));
+            cache.insert(7, 70, Artifact::Report(Arc::new(report())));
             assert_eq!(cache.disk_writes(), 1);
         }
         // Fresh cache, same dir: memory is cold, disk must answer.
@@ -737,7 +721,6 @@ mod tests {
         match cache.lookup(7) {
             Lookup::Disk(rec) => {
                 assert_eq!(rec.digest, 70);
-                assert_eq!(rec.insts, Some(9));
                 assert_eq!(rec.report, Some(report()));
             }
             other => panic!("expected disk hit, got {other:?}"),

@@ -1,23 +1,28 @@
-//! The batch-analysis engine: stage-graph execution with digest-chained
-//! caching, deterministic parallel fan-out, and fault isolation.
+//! The batch-analysis engine: stage-graph execution with derived cache
+//! keys, deterministic parallel fan-out, and fault isolation.
 //!
-//! # Digest chaining
+//! # Derived keys
 //!
-//! Every stage is a deterministic function of its inputs, so each stage's
-//! *output* digest can be derived from its *input* digests without
-//! formatting (or even materializing) the output artifact. The only
-//! content digest taken is the parse stage's AST digest, computed from the
-//! token stream (kinds plus line numbers — exactly what the parser sees,
-//! since AST nodes record lines) — which makes the whole downstream chain
-//! insensitive to cosmetic edits such as extra spaces or comments that do
-//! not shift lines. Full derivation is documented in DESIGN.md, "Engine".
+//! Two digests are taken from content: the parse stage's, over the token
+//! stream (kinds plus line numbers — exactly what the parser sees, since
+//! AST nodes record lines), and the lower stage's, chained from the
+//! per-function digests of the lowered IR. Every later stage is a
+//! deterministic function of the IR and the configuration, so its key and
+//! output digest derive from the IR digest without a lookup, and so does
+//! the rank key that finds a cached report: a program whose report is
+//! cached resolves in three probes, and only a report miss resolves the
+//! static verdicts, CUs, profile and detectors. Token digests make the
+//! chain insensitive to cosmetic edits such as extra spaces or comments
+//! that do not shift lines. Full derivation is documented in DESIGN.md,
+//! "Engine".
 //!
 //! # Hit accounting
 //!
 //! A stage resolution is a **hit** iff the stage function did not execute.
-//! A disk record can answer a digest query (hit) but not an artifact
-//! query; if a downstream miss later forces the artifact to materialize,
-//! the stage re-executes and the earlier hit is demoted to a miss, so
+//! A disk record answers a parse or lower digest query (hit) but not an
+//! artifact query; if a later miss forces the artifact to materialize,
+//! the stage re-executes and the earlier hit is demoted to a miss. A stage
+//! that a cached downstream artifact made unnecessary counts as a hit, so
 //! counters always reflect work actually performed.
 //!
 //! # Fault isolation
@@ -64,7 +69,7 @@ use parpat_static::{
     StaticReport, PASS_NAMES,
 };
 
-use crate::cache::{Artifact, Cache, Lookup};
+use crate::cache::{Artifact, Cache, DiskRecord, Lookup};
 use crate::digest::{hash_bytes, Fnv64};
 use crate::error::{EngineError, ErrorKind};
 use crate::fault::{FaultMode, FaultPlan};
@@ -843,9 +848,65 @@ enum St {
     Miss,
 }
 
-/// One program's walk through the stage graph. Digests and artifacts are
-/// memoized; stage states start as digest-level answers and are demoted to
-/// misses when an artifact must materialize after all.
+/// A stage's cache key and the output digest stored with its artifact.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    key: u64,
+    digest: u64,
+}
+
+/// The cache slots of the five stages after lowering. Each is a pure
+/// function of the IR digest and the configuration (DESIGN.md, "Engine"),
+/// so deriving them takes no lookup.
+#[derive(Debug, Clone, Copy)]
+struct Slots {
+    statics: Slot,
+    cus: Slot,
+    profile: Slot,
+    detect: Slot,
+    rank: Slot,
+}
+
+impl Slots {
+    fn derive(ir_d: u64, cfg: &AnalysisConfig, rank_workers: f64) -> Slots {
+        let l = cfg.limits;
+        let statics = Slot { key: key("static", &[ir_d]), digest: key("static.out", &[ir_d]) };
+        let cus = Slot { key: key("cu", &[ir_d]), digest: key("cu.out", &[ir_d]) };
+        let profile = key(
+            "profile",
+            &[
+                ir_d,
+                l.max_insts,
+                l.max_call_depth as u64,
+                l.timeout_ms.unwrap_or(0),
+                l.max_mem_cells,
+            ],
+        );
+        let profile = Slot { key: profile, digest: key("profile.out", &[profile]) };
+        let detect = key(
+            "detect",
+            &[
+                ir_d,
+                cus.digest,
+                profile.digest,
+                cfg.hotspot_threshold.to_bits(),
+                cfg.min_pipeline_pairs as u64,
+                cfg.fusion_eps.to_bits(),
+            ],
+        );
+        let detect = Slot { key: detect, digest: key("detect.out", &[detect]) };
+        // Rank consumes the static verdicts for cross-validation, so their
+        // digest is part of its key.
+        let rank = key("rank", &[detect.digest, statics.digest, rank_workers.to_bits()]);
+        let rank = Slot { key: rank, digest: key("report", &[rank]) };
+        Slots { statics, cus, profile, detect, rank }
+    }
+}
+
+/// One program's walk through the stage graph. Parse and lower resolve
+/// their digests from either tier; the later slots derive from the IR
+/// digest, and the report is probed before any later stage resolves.
+/// Artifacts needed more than once are memoized.
 struct ProgRun<'e> {
     eng: &'e Engine,
     src: &'e str,
@@ -870,17 +931,11 @@ struct ProgRun<'e> {
     /// Per-function digests of the lowered IR, in function order
     /// ([`function_digests`]); `ir_d` is the chain of these.
     func_ds: Option<Arc<Vec<u64>>>,
-    stat_d: Option<u64>,
-    cu_d: Option<u64>,
-    prof_d: Option<u64>,
-    det_d: Option<u64>,
 
     ast: Option<Arc<Program>>,
     ir: Option<Arc<IrProgram>>,
     statics: Option<Arc<StaticReport>>,
     cus: Option<Arc<CuSet>>,
-    prof: Option<Arc<parpat_core::ProfiledRun>>,
-    analysis: Option<Arc<Analysis>>,
 }
 
 fn key(tag: &str, inputs: &[u64]) -> u64 {
@@ -907,16 +962,10 @@ impl<'e> ProgRun<'e> {
             ast_d: None,
             ir_d: None,
             func_ds: None,
-            stat_d: None,
-            cu_d: None,
-            prof_d: None,
-            det_d: None,
             ast: None,
             ir: None,
             statics: None,
             cus: None,
-            prof: None,
-            analysis: None,
         }
     }
 
@@ -947,10 +996,28 @@ impl<'e> ProgRun<'e> {
         }
     }
 
+    /// Mark `s` a hit, together with every stage its artifact stands in
+    /// for that this run has not resolved: a cached report answers for all
+    /// the stages before it, a cached analysis for the CUs and the
+    /// profile. Such a stage did not execute, so it counts as a hit.
+    fn hit(&mut self, s: Stage) {
+        let covered: &[Stage] = match s {
+            Stage::Rank => &Stage::ALL,
+            Stage::Detect => &[Stage::CuBuild, Stage::Profile],
+            _ => &[],
+        };
+        for c in covered {
+            if self.states[c.index()] == St::Unresolved {
+                self.states[c.index()] = St::Hit;
+            }
+        }
+        self.states[s.index()] = St::Hit;
+    }
+
     /// Execute stage `s`'s function under the wall-time clock and mark it
-    /// a miss (possibly demoting an earlier digest-level hit). The
-    /// function runs inside `catch_unwind`: a panic is confined to this
-    /// program and surfaces as a structured [`ErrorKind::Panic`] error.
+    /// a miss (possibly demoting an earlier hit). The function runs inside
+    /// `catch_unwind`: a panic is confined to this program and surfaces as
+    /// a structured [`ErrorKind::Panic`] error.
     /// Armed fault plans trip here — `Fail` (and `Transient`, which
     /// resolves to it) short-circuits before the stage function, `Stall`
     /// sleeps cooperatively (cancellable by the watchdog) before it, and
@@ -1037,7 +1104,7 @@ impl<'e> ProgRun<'e> {
             .map_err(|e| EngineError::lang(Stage::Parse, e.to_string()))?;
         let d = token_digest(&toks);
         let ast = Arc::new(ast);
-        self.eng.cache.insert(self.key_parse(), d, Artifact::Ast(Arc::clone(&ast)), None);
+        self.eng.cache.insert(self.key_parse(), d, Artifact::Ast(Arc::clone(&ast)));
         self.ast = Some(ast);
         self.ast_d = Some(d);
         Ok(())
@@ -1049,12 +1116,12 @@ impl<'e> ProgRun<'e> {
         }
         match self.eng.cache.lookup(self.key_parse()) {
             Lookup::Memory(Artifact::Ast(a), d) => {
-                self.states[Stage::Parse.index()] = St::Hit;
+                self.hit(Stage::Parse);
                 self.ast = Some(a);
                 self.ast_d = Some(d);
             }
             Lookup::Disk(rec) => {
-                self.states[Stage::Parse.index()] = St::Hit;
+                self.hit(Stage::Parse);
                 self.ast_d = Some(rec.digest);
             }
             _ => self.run_parse()?,
@@ -1115,7 +1182,7 @@ impl<'e> ProgRun<'e> {
         // source invalidates exactly the fragments whose functions changed.
         let fds = Arc::new(function_digests(&ir));
         let d = key("ir", &fds);
-        self.eng.cache.insert(k, d, Artifact::Ir(Arc::clone(&ir)), None);
+        self.eng.cache.insert(k, d, Artifact::Ir(Arc::clone(&ir)));
         self.ir = Some(ir);
         self.ir_d = Some(d);
         self.func_ds = Some(fds);
@@ -1129,12 +1196,12 @@ impl<'e> ProgRun<'e> {
         let ast_d = self.ast_digest()?;
         match self.eng.cache.lookup(key("lower", &[ast_d])) {
             Lookup::Memory(Artifact::Ir(ir), d) => {
-                self.states[Stage::Lower.index()] = St::Hit;
+                self.hit(Stage::Lower);
                 self.ir = Some(ir);
                 self.ir_d = Some(d);
             }
             Lookup::Disk(rec) => {
-                self.states[Stage::Lower.index()] = St::Hit;
+                self.hit(Stage::Lower);
                 self.ir_d = Some(rec.digest);
             }
             _ => self.run_lower()?,
@@ -1161,14 +1228,17 @@ impl<'e> ProgRun<'e> {
         Ok(Arc::clone(self.func_ds.as_ref().expect("set above")))
     }
 
+    /// The slots of every stage after lowering (see [`Slots`]).
+    fn slots(&mut self) -> Result<Slots, EngineError> {
+        let ir_d = self.ir_digest()?;
+        Ok(Slots::derive(ir_d, &self.eng.cfg, self.eng.rank_workers))
+    }
+
     // ---- static ---------------------------------------------------------
 
-    fn run_static(&mut self) -> Result<(), EngineError> {
+    fn run_static(&mut self, slot: Slot) -> Result<Arc<StaticReport>, EngineError> {
         let ir = self.ir()?;
         let fds = self.func_digests()?;
-        let ir_d = self.ir_d.expect("ir resolved");
-        let k = key("static", &[ir_d]);
-        let d = key("static.out", &[ir_d]);
         // The stage executes as a merge of per-function fragments, each
         // cached (memory tier) under its function digest: a re-submitted
         // source re-analyzes only the functions whose digests changed.
@@ -1179,8 +1249,8 @@ impl<'e> ProgRun<'e> {
             let mut parts: Vec<Arc<Vec<LoopReport>>> = Vec::with_capacity(ir.functions.len());
             for (f, &fd) in ir.functions.iter().zip(fds.iter()) {
                 let fk = key("static.func", &[fd]);
-                let frag = match r.eng.cache.lookup(fk) {
-                    Lookup::Memory(Artifact::StaticFunc(p), _) => p,
+                let frag = match r.eng.cache.get(fk) {
+                    Some((Artifact::StaticFunc(p), _)) => p,
                     _ => {
                         r.funcs_reanalyzed.insert(f.id);
                         let (frag, timings) = analyze_function_timed(&ir, f.id);
@@ -1198,48 +1268,30 @@ impl<'e> ProgRun<'e> {
             }
             merge_function_reports(parts.iter().map(|p| p.as_slice()))
         })?);
-        self.eng.cache.insert(k, d, Artifact::Static(Arc::clone(&statics)), None);
-        self.statics = Some(statics);
-        self.stat_d = Some(d);
-        Ok(())
-    }
-
-    fn static_digest(&mut self) -> Result<u64, EngineError> {
-        if let Some(d) = self.stat_d {
-            return Ok(d);
-        }
-        let ir_d = self.ir_digest()?;
-        match self.eng.cache.lookup(key("static", &[ir_d])) {
-            Lookup::Memory(Artifact::Static(s), d) => {
-                self.states[Stage::Static.index()] = St::Hit;
-                self.statics = Some(s);
-                self.stat_d = Some(d);
-            }
-            Lookup::Disk(rec) => {
-                self.states[Stage::Static.index()] = St::Hit;
-                self.stat_d = Some(rec.digest);
-            }
-            _ => self.run_static()?,
-        }
-        Ok(self.stat_d.expect("set above"))
+        self.eng.cache.insert_memory(slot.key, slot.digest, Artifact::Static(Arc::clone(&statics)));
+        Ok(statics)
     }
 
     fn statics(&mut self) -> Result<Arc<StaticReport>, EngineError> {
-        self.static_digest()?;
         if self.statics.is_none() {
-            self.run_static()?;
+            let slot = self.slots()?.statics;
+            let statics = match self.eng.cache.get(slot.key) {
+                Some((Artifact::Static(s), _)) => {
+                    self.hit(Stage::Static);
+                    s
+                }
+                _ => self.run_static(slot)?,
+            };
+            self.statics = Some(statics);
         }
         Ok(Arc::clone(self.statics.as_ref().expect("set above")))
     }
 
     // ---- cu build -------------------------------------------------------
 
-    fn run_cus(&mut self) -> Result<(), EngineError> {
+    fn run_cus(&mut self, slot: Slot) -> Result<Arc<CuSet>, EngineError> {
         let ir = self.ir()?;
         let fds = self.func_digests()?;
-        let ir_d = self.ir_d.expect("ir resolved");
-        let k = key("cu", &[ir_d]);
-        let d = key("cu.out", &[ir_d]);
         // Same fragment discipline as the static stage: per-function CU
         // sets (fragment-local ids) cached under the function digest, then
         // merged in function order — which reproduces `build_cus` exactly.
@@ -1247,8 +1299,8 @@ impl<'e> ProgRun<'e> {
             let mut frags: Vec<Arc<CuSet>> = Vec::with_capacity(ir.functions.len());
             for (f, &fd) in ir.functions.iter().zip(fds.iter()) {
                 let fk = key("cu.func", &[fd]);
-                let frag = match r.eng.cache.lookup(fk) {
-                    Lookup::Memory(Artifact::CuFunc(c), _) => c,
+                let frag = match r.eng.cache.get(fk) {
+                    Some((Artifact::CuFunc(c), _)) => c,
                     _ => {
                         r.funcs_reanalyzed.insert(f.id);
                         let c = Arc::new(build_function_cus(&ir, f.id));
@@ -1264,61 +1316,30 @@ impl<'e> ProgRun<'e> {
             }
             merge_cu_sets(frags.iter().map(|c| c.as_ref()))
         })?);
-        self.eng.cache.insert(k, d, Artifact::Cus(Arc::clone(&cus)), None);
-        self.cus = Some(cus);
-        self.cu_d = Some(d);
-        Ok(())
-    }
-
-    fn cu_digest(&mut self) -> Result<u64, EngineError> {
-        if let Some(d) = self.cu_d {
-            return Ok(d);
-        }
-        let ir_d = self.ir_digest()?;
-        match self.eng.cache.lookup(key("cu", &[ir_d])) {
-            Lookup::Memory(Artifact::Cus(c), d) => {
-                self.states[Stage::CuBuild.index()] = St::Hit;
-                self.cus = Some(c);
-                self.cu_d = Some(d);
-            }
-            Lookup::Disk(rec) => {
-                self.states[Stage::CuBuild.index()] = St::Hit;
-                self.cu_d = Some(rec.digest);
-            }
-            _ => self.run_cus()?,
-        }
-        Ok(self.cu_d.expect("set above"))
+        self.eng.cache.insert_memory(slot.key, slot.digest, Artifact::Cus(Arc::clone(&cus)));
+        Ok(cus)
     }
 
     fn cus(&mut self) -> Result<Arc<CuSet>, EngineError> {
-        self.cu_digest()?;
         if self.cus.is_none() {
-            self.run_cus()?;
+            let slot = self.slots()?.cus;
+            let cus = match self.eng.cache.get(slot.key) {
+                Some((Artifact::Cus(c), _)) => {
+                    self.hit(Stage::CuBuild);
+                    c
+                }
+                _ => self.run_cus(slot)?,
+            };
+            self.cus = Some(cus);
         }
         Ok(Arc::clone(self.cus.as_ref().expect("set above")))
     }
 
     // ---- profile --------------------------------------------------------
 
-    fn key_profile(&self, ir_d: u64) -> u64 {
-        let limits = self.eng.cfg.limits;
-        key(
-            "profile",
-            &[
-                ir_d,
-                limits.max_insts,
-                limits.max_call_depth as u64,
-                limits.timeout_ms.unwrap_or(0),
-                limits.max_mem_cells,
-            ],
-        )
-    }
-
-    fn run_profile(&mut self) -> Result<(), EngineError> {
+    fn run_profile(&mut self, slot: Slot) -> Result<Arc<parpat_core::ProfiledRun>, EngineError> {
         let ir = self.ir()?;
         let ast = self.ast()?;
-        let k = self.key_profile(self.ir_d.expect("ir resolved"));
-        let d = key("profile.out", &[k]);
         let run = self
             .execute(Stage::Profile, |r| {
                 profile_ir_controlled(&ir, r.eng.cfg.limits, Some(r.ctl.as_ref()))
@@ -1341,12 +1362,9 @@ impl<'e> ProgRun<'e> {
                 ));
             }
         }
-        let insts = run.insts;
         let run = Arc::new(run);
-        self.eng.cache.insert(k, d, Artifact::Profile(Arc::clone(&run)), Some(insts));
-        self.prof = Some(run);
-        self.prof_d = Some(d);
-        Ok(())
+        self.eng.cache.insert_memory(slot.key, slot.digest, Artifact::Profile(Arc::clone(&run)));
+        Ok(run)
     }
 
     /// Differential oracle: replay the program through the independent
@@ -1394,58 +1412,25 @@ impl<'e> ProgRun<'e> {
         }
     }
 
-    fn prof_digest(&mut self) -> Result<u64, EngineError> {
-        if let Some(d) = self.prof_d {
-            return Ok(d);
-        }
-        let ir_d = self.ir_digest()?;
-        match self.eng.cache.lookup(self.key_profile(ir_d)) {
-            Lookup::Memory(Artifact::Profile(p), d) => {
-                self.states[Stage::Profile.index()] = St::Hit;
-                self.prof = Some(p);
-                self.prof_d = Some(d);
-            }
-            Lookup::Disk(rec) => {
-                self.states[Stage::Profile.index()] = St::Hit;
-                self.prof_d = Some(rec.digest);
-            }
-            _ => self.run_profile()?,
-        }
-        Ok(self.prof_d.expect("set above"))
-    }
-
     fn prof(&mut self) -> Result<Arc<parpat_core::ProfiledRun>, EngineError> {
-        self.prof_digest()?;
-        if self.prof.is_none() {
-            self.run_profile()?;
+        let slot = self.slots()?.profile;
+        match self.eng.cache.get(slot.key) {
+            Some((Artifact::Profile(p), _)) => {
+                self.hit(Stage::Profile);
+                Ok(p)
+            }
+            _ => self.run_profile(slot),
         }
-        Ok(Arc::clone(self.prof.as_ref().expect("set above")))
     }
 
     // ---- detect ---------------------------------------------------------
 
-    fn key_detect(&mut self) -> Result<u64, EngineError> {
-        let ir_d = self.ir_digest()?;
-        let cu_d = self.cu_digest()?;
-        let prof_d = self.prof_digest()?;
-        let cfg = &self.eng.cfg;
-        let mut h = Fnv64::new();
-        h.write(b"detect");
-        h.write_u64(ir_d).write_u64(cu_d).write_u64(prof_d);
-        h.write_f64(cfg.hotspot_threshold);
-        h.write_u64(cfg.min_pipeline_pairs as u64);
-        h.write_f64(cfg.fusion_eps);
-        Ok(h.finish())
-    }
-
-    fn run_detect(&mut self) -> Result<(), EngineError> {
-        let k = self.key_detect()?;
-        let d = key("detect.out", &[k]);
+    fn run_detect(&mut self, slot: Slot) -> Result<Arc<Analysis>, EngineError> {
         let ir = self.ir()?;
         let cus = self.cus()?;
         let prof = self.prof()?;
         let cfg = self.eng.cfg;
-        let analysis = self.execute(Stage::Detect, |_| {
+        let analysis = Arc::new(self.execute(Stage::Detect, |_| {
             let detections = detect_patterns(&ir, &prof.profile, &prof.pet, &cus, &cfg);
             assemble_analysis(
                 Arc::clone(&ir),
@@ -1454,47 +1439,56 @@ impl<'e> ProgRun<'e> {
                 Arc::clone(&cus),
                 detections,
             )
-        })?;
-        let analysis = Arc::new(analysis);
-        self.eng.cache.insert(k, d, Artifact::Analysis(Arc::clone(&analysis)), None);
-        self.analysis = Some(analysis);
-        self.det_d = Some(d);
-        Ok(())
-    }
-
-    fn det_digest(&mut self) -> Result<u64, EngineError> {
-        if let Some(d) = self.det_d {
-            return Ok(d);
-        }
-        let k = self.key_detect()?;
-        match self.eng.cache.lookup(k) {
-            Lookup::Memory(Artifact::Analysis(a), d) => {
-                self.states[Stage::Detect.index()] = St::Hit;
-                self.analysis = Some(a);
-                self.det_d = Some(d);
-            }
-            Lookup::Disk(rec) => {
-                self.states[Stage::Detect.index()] = St::Hit;
-                self.det_d = Some(rec.digest);
-            }
-            _ => self.run_detect()?,
-        }
-        Ok(self.det_d.expect("set above"))
+        })?);
+        self.eng.cache.insert_memory(
+            slot.key,
+            slot.digest,
+            Artifact::Analysis(Arc::clone(&analysis)),
+        );
+        Ok(analysis)
     }
 
     fn analysis(&mut self) -> Result<Arc<Analysis>, EngineError> {
-        self.det_digest()?;
-        if self.analysis.is_none() {
-            self.run_detect()?;
+        let slot = self.slots()?.detect;
+        match self.eng.cache.get(slot.key) {
+            Some((Artifact::Analysis(a), _)) => {
+                self.hit(Stage::Detect);
+                Ok(a)
+            }
+            _ => self.run_detect(slot),
         }
-        Ok(Arc::clone(self.analysis.as_ref().expect("set above")))
     }
 
     // ---- rank -----------------------------------------------------------
 
-    fn run_rank(&mut self, k: u64) -> Result<Arc<ProgramReport>, EngineError> {
-        let analysis = self.analysis()?;
+    fn report(&mut self) -> Result<Arc<ProgramReport>, EngineError> {
+        // The rank key follows from the IR digest, so a cached report
+        // answers before any later stage resolves.
+        let rank = self.slots()?.rank;
+        match self.eng.cache.lookup(rank.key) {
+            Lookup::Memory(Artifact::Report(r), _) => {
+                self.hit(Stage::Rank);
+                return Ok(r);
+            }
+            Lookup::Disk(DiskRecord { digest, report: Some(report) }) => {
+                // Promote the persisted report into the memory tier.
+                self.hit(Stage::Rank);
+                let report = Arc::new(report);
+                self.eng.cache.insert_memory(
+                    rank.key,
+                    digest,
+                    Artifact::Report(Arc::clone(&report)),
+                );
+                return Ok(report);
+            }
+            _ => {}
+        }
+        // Resolve the static verdicts before any dynamic stage: a fault in
+        // the static stage must fail the program before profiling starts,
+        // and a later dynamic failure finds the verdicts already resolved
+        // for the degraded report.
         let statics = self.statics()?;
+        let analysis = self.analysis()?;
         let workers = self.eng.rank_workers;
         let report = self.execute(Stage::Rank, |_| {
             let ranked = rank_patterns(&analysis, &RankConfig { workers });
@@ -1514,45 +1508,8 @@ impl<'e> ProgRun<'e> {
             }
         })?;
         let report = Arc::new(report);
-        let d = key("report", &[k]);
-        self.eng.cache.insert(k, d, Artifact::Report(Arc::clone(&report)), None);
+        self.eng.cache.insert(rank.key, rank.digest, Artifact::Report(Arc::clone(&report)));
         Ok(report)
-    }
-
-    fn report(&mut self) -> Result<Arc<ProgramReport>, EngineError> {
-        // Resolve the static verdicts before any dynamic stage: a fault in
-        // the static stage must fail the program before profiling starts,
-        // and a later dynamic failure finds the verdicts already resolved
-        // for the degraded report.
-        let stat_d = self.static_digest()?;
-        let det_d = self.det_digest()?;
-        let mut h = Fnv64::new();
-        h.write(b"rank");
-        h.write_u64(det_d);
-        h.write_u64(stat_d);
-        h.write_f64(self.eng.rank_workers);
-        let k = h.finish();
-        match self.eng.cache.lookup(k) {
-            Lookup::Memory(Artifact::Report(r), _) => {
-                self.states[Stage::Rank.index()] = St::Hit;
-                Ok(r)
-            }
-            Lookup::Disk(rec) => match rec.report {
-                Some(report) => {
-                    // Promote the persisted report into the memory tier.
-                    self.states[Stage::Rank.index()] = St::Hit;
-                    let report = Arc::new(report);
-                    self.eng.cache.insert_memory(
-                        k,
-                        rec.digest,
-                        Artifact::Report(Arc::clone(&report)),
-                    );
-                    Ok(report)
-                }
-                None => self.run_rank(k),
-            },
-            _ => self.run_rank(k),
-        }
     }
 }
 

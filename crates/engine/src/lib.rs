@@ -1,13 +1,15 @@
 //! # parpat-engine — cached, parallel batch analysis
 //!
 //! Turns the one-shot `parpat_core::analyze_source` flow into a
-//! seven-stage graph (parse → lower → {static, cu, profile} → detect →
-//! rank) with:
+//! seven-stage graph (parse → lower → {static, cu, profile}; {cu, profile}
+//! → detect; {detect, static} → rank) with:
 //!
 //! - a **content-addressed artifact cache** — in memory with LRU eviction,
-//!   plus an optional disk tier — keyed by digests chained from the source
-//!   bytes and the analysis configuration, so editing one program reruns
-//!   only the stages whose inputs changed ([`cache`], [`digest`]);
+//!   plus an optional disk tier of parse, lower and report records — keyed
+//!   by digests of the source's tokens and its lowered functions, and
+//!   derived from those and the analysis configuration, so editing one
+//!   program reruns only the stages whose inputs changed ([`cache`],
+//!   [`digest`]);
 //! - **parallel fan-out** over a batch of programs on the repo's own
 //!   work-stealing [`parpat_runtime::ThreadPool`], with results returned
 //!   in input order regardless of scheduling ([`Engine::batch`]);

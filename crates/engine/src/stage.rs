@@ -6,9 +6,9 @@
 //! the static verdicts for cross-validation):
 //!
 //! ```text
-//! parse ─ lower ─┬─ static ──┐
-//!                ├─ cu ──────┼─ detect ─ rank
-//!                └─ profile ─┘
+//! parse ─ lower ─┬─ cu ──────┬─ detect ─┬─ rank
+//!                ├─ profile ─┘          │
+//!                └─ static ─────────────┘
 //! ```
 //!
 //! Each stage has a content-addressed cache key derived from its inputs

@@ -130,3 +130,20 @@ fn summaries_render_for_all_apps() {
         assert!(s.contains("hotspots"), "{}", app.name);
     }
 }
+
+/// `parpat --help` into a pipe whose reader has already gone, as
+/// `parpat --help | head -0` leaves it: the closed pipe is the reader's
+/// choice, so the binary exits 0 and prints nothing, no panic.
+#[test]
+fn a_closed_stdout_exits_zero_without_a_panic() {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_parpat"))
+        .arg("--help")
+        .stdout(writer)
+        .output()
+        .expect("run parpat");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert!(stderr.is_empty(), "{stderr}");
+}
