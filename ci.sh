@@ -31,11 +31,14 @@ cargo test -q --test fsck
 # Real-process kill-and-resume: `parpat batch apps` SIGKILLed mid-run must
 # `--resume` byte-identically to the uninterrupted run.
 cargo test -q --test kill_resume
-# Profiler differential gate: the dependence profiler must produce the
-# same ProfileData, field for field, as the reference profiler kept in its
+# Profiler gate: the dependence profiler must produce the same
+# ProfileData, field for field, as the reference profiler kept in its
 # tests, over the suite, 200 generated programs (faulting ones included)
-# and hand-written loop/recursion shapes; the sanitizer must accept each.
-cargo test -q -p parpat-profile --test differential
+# and hand-written loop/recursion/line-memo shapes; the sanitizer must
+# accept each. Its unit tests also profile the 19 models and the same 200
+# programs with context-trie compaction at its most eager, which must
+# change no field, and check that the tries stay bounded.
+cargo test -q -p parpat-profile
 # Evaluator differential gate: the reference evaluator (the oracle's
 # independent half) must agree with a verbatim copy of its previous
 # version, return value, every global bit for bit and step count, or

@@ -14,7 +14,7 @@
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
-use parpat_ir::{InstId, InstKind, IrProgram};
+use parpat_ir::{InstKind, IrProgram};
 use parpat_pet::{Pet, RegionKind};
 use parpat_profile::{DepKind, ProfileData};
 
@@ -203,16 +203,6 @@ fn cu_weight(
         }
     }
     w
-}
-
-/// Convenience: map a lifted instruction pair to CU ids in a region.
-pub fn edge_between(
-    cus: &CuSet,
-    region: RegionId,
-    src: InstId,
-    sink: InstId,
-) -> Option<(CuId, CuId)> {
-    Some((cus.cu_of_inst(region, src)?, cus.cu_of_inst(region, sink)?))
 }
 
 #[cfg(test)]

@@ -36,7 +36,6 @@
 #![warn(clippy::unwrap_used)]
 
 pub mod ast;
-pub mod builder;
 pub mod error;
 pub mod eval;
 pub mod genprog;

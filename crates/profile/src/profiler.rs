@@ -26,13 +26,20 @@
 //! line update is O(1) and allocates nothing. Shadow memory is a map from
 //! address to shadow entry, and each shadow entry links to its address's
 //! per-loop entries (one link per loop that touched it), so an access costs
-//! one hash however many loops are live. Per-loop entries live in one vector
+//! one hash however many loops are live. An access whose instruction and
+//! live-loop set equal those of the address's last access of the same kind
+//! skips the line table altogether. Per-loop entries live in one vector
 //! per loop, cross-loop pairs in a flat `(x, y, address)` map, trip
 //! statistics in a vector by loop; [`DependenceProfiler::into_data`] nests
 //! them into [`ProfileData`]'s shape once. Every table keyed by address
 //! hashes with the crate's integer hasher instead of SipHash.
-
-use std::rc::Rc;
+//!
+//! Contexts are interned: the loop stack and the call/loop chain of an
+//! access are `u32` ids of nodes in two append-only tries, so a shadow entry
+//! is a small `Copy` value and recording an access copies three integers.
+//! Each path has one node, so equal ids mean equal contexts, and comparing
+//! two contexts walks parent links only from where they differ. The tries
+//! are compacted once they outgrow the shadow memory that refers to them.
 
 use parpat_ir::event::{AccessKind, MemAccess, Observer};
 use parpat_ir::interp::{run_function, ExecLimits};
@@ -42,7 +49,7 @@ use crate::data::{names_variable, AccessLines, Dep, DepKind, DepSite, LoopStats,
 use crate::inthash::IntMap;
 
 /// One entry of the dynamic loop stack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct LoopFrame {
     l: LoopId,
     instance: u64,
@@ -54,28 +61,165 @@ struct LoopFrame {
 /// key). The chain is what lifts raw access-level dependences to
 /// statement-level edges for CU graphs. It holds no iteration numbers, so a
 /// new iteration leaves it unchanged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct ChainFrame {
     inst: InstId,
     key: u64,
 }
 
-/// A recorded access: which instruction and under which loop/context it
-/// happened. Context snapshots are shared `Rc` slices: every access between
-/// two loop/call events sees the identical context, so the profiler
-/// materializes it once per context change instead of once per access.
-#[derive(Debug, Clone)]
-struct AccessRec {
-    inst: InstId,
-    stack: Rc<[LoopFrame]>,
-    chain: Rc<[ChainFrame]>,
+/// A context: the id of a node in a [`Trie`].
+type NodeId = u32;
+
+/// The root of every [`Trie`]: the empty context.
+const ROOT: NodeId = 0;
+
+/// In [`Trie::retain`]'s map: a node in use, before it is renumbered.
+const KEEP: NodeId = 0;
+
+/// In [`Trie::retain`]'s map: a node no context in use refers to.
+const DROP: NodeId = NodeId::MAX;
+
+/// Nodes a trie may hold past twice what is in use before it is compacted.
+const COMPACT_SLACK: usize = 4096;
+
+/// One node of a [`Trie`]: its parent's path plus one frame.
+#[derive(Debug, Clone, Copy)]
+struct Node<F> {
+    parent: NodeId,
+    /// The length of the node's path; the root's is 0.
+    depth: u32,
+    frame: F,
 }
 
-/// The shadow of one address.
+/// Interned contexts (stacks of frames), one node per path.
+///
+/// The profiler keeps, beside each of its stacks, the ids of the stack's
+/// prefixes that have a node, and makes the missing nodes at the next
+/// access ([`Trie::intern`]). A frame changes only at the top of its stack,
+/// and it never returns to an earlier value: loop instances and chain keys
+/// are unique, and a loop's iteration number only grows. So a node is never
+/// made twice for one path, and two contexts are equal exactly when their
+/// ids are.
 #[derive(Debug)]
+struct Trie<F> {
+    nodes: Vec<Node<F>>,
+    /// Compact once there are more nodes than this.
+    limit: usize,
+}
+
+impl<F: Copy + Default + PartialEq + std::fmt::Debug> Trie<F> {
+    fn new(limit: usize) -> Self {
+        Trie { nodes: vec![Node { parent: ROOT, depth: 0, frame: F::default() }], limit }
+    }
+
+    fn full(&self) -> bool {
+        self.nodes.len() > self.limit
+    }
+
+    /// The id of the context `frames`, whose first `ids.len()` prefixes
+    /// have the nodes `ids`: makes nodes for the rest, extending `ids`.
+    fn intern(&mut self, frames: &[F], ids: &mut Vec<NodeId>) -> NodeId {
+        let mut id = ids.last().copied().unwrap_or(ROOT);
+        for &frame in &frames[ids.len()..] {
+            let depth = self.nodes[id as usize].depth + 1;
+            self.nodes.push(Node { parent: id, depth, frame });
+            id = NodeId::try_from(self.nodes.len() - 1).expect("fewer than 2^32 contexts");
+            ids.push(id);
+        }
+        id
+    }
+
+    /// The frames of `a`'s and `b`'s paths at the first depth where the
+    /// paths differ, `None` for a path that ends above it: `(None, None)`
+    /// when the paths are equal.
+    fn split(&self, mut a: NodeId, mut b: NodeId) -> (Option<F>, Option<F>) {
+        if a == b {
+            return (None, None);
+        }
+        let node = |id: NodeId| self.nodes[id as usize];
+        // Bring the deeper path up to the other's depth, keeping the frame
+        // just below it, which is where the paths differ if one is a prefix
+        // of the other.
+        let (depth_a, depth_b) = (node(a).depth, node(b).depth);
+        let (mut below_a, mut below_b) = (None, None);
+        while node(a).depth > depth_b {
+            below_a = Some(node(a).frame);
+            a = node(a).parent;
+        }
+        while node(b).depth > depth_a {
+            below_b = Some(node(b).frame);
+            b = node(b).parent;
+        }
+        if a == b {
+            return (below_a, below_b);
+        }
+        while node(a).parent != node(b).parent {
+            a = node(a).parent;
+            b = node(b).parent;
+        }
+        let (fa, fb) = (node(a).frame, node(b).frame);
+        debug_assert_ne!(fa, fb, "two nodes with one path");
+        (Some(fa), Some(fb))
+    }
+
+    /// A map for [`Trie::retain`] with no node marked.
+    fn unmarked(&self) -> Vec<NodeId> {
+        vec![DROP; self.nodes.len()]
+    }
+
+    /// Keep the root, the nodes `map` marks [`KEEP`] and their ancestors,
+    /// renumbered in order; `map` then holds each kept node's new id.
+    /// Parents precede their children, so one pass from the newest node
+    /// marks the ancestors and one pass from the oldest renumbers.
+    fn retain(&mut self, map: &mut [NodeId]) {
+        for id in (1..self.nodes.len()).rev() {
+            if map[id] != DROP {
+                map[self.nodes[id].parent as usize] = KEEP;
+            }
+        }
+        map[ROOT as usize] = ROOT;
+        let mut kept = 1;
+        for id in 1..self.nodes.len() {
+            if map[id] != DROP {
+                let node = self.nodes[id];
+                self.nodes[kept] = Node { parent: map[node.parent as usize], ..node };
+                map[id] = NodeId::try_from(kept).expect("kept nodes have ids");
+                kept += 1;
+            }
+        }
+        self.nodes.truncate(kept);
+    }
+}
+
+/// A recorded access: which instruction, under which loop stack (a node of
+/// [`DependenceProfiler::stacks`]) and under which chain (a node of
+/// [`DependenceProfiler::chains`]).
+#[derive(Debug, Clone, Copy)]
+struct AccessRec {
+    inst: InstId,
+    stack: NodeId,
+    chain: NodeId,
+}
+
+/// The id of a set of live loops (see [`DependenceProfiler::live_sets`]).
+type SetId = u32;
+
+/// The id of the empty live-loop set.
+const NO_LOOPS: SetId = 0;
+
+/// The shadow of one address.
+#[derive(Debug, Clone, Copy)]
 struct Shadow {
     last_write: Option<AccessRec>,
-    last_read: Option<AccessRec>,
+    /// The last read, and whether it came after the last write (then the
+    /// next write depends on it, WAR).
+    last_read: Option<(AccessRec, bool)>,
+    /// The live-loop sets of the last read and the last write (indexed by
+    /// [`AccessKind`]). An access of the same kind by the same instruction
+    /// under the same set would note nothing new in the line table: its
+    /// line is the instruction's, and every entry update is a join, an OR
+    /// or a first-set.
+    live: [SetId; 2],
     /// The first of this address's links in [`LineTable::links`], or
     /// [`NO_LINK`].
     lines: u32,
@@ -83,7 +227,24 @@ struct Shadow {
 
 impl Default for Shadow {
     fn default() -> Self {
-        Shadow { last_write: None, last_read: None, lines: NO_LINK }
+        Shadow { last_write: None, last_read: None, live: [NO_LOOPS; 2], lines: NO_LINK }
+    }
+}
+
+impl Shadow {
+    /// Whether the line table already holds everything an access of `kind`
+    /// by `inst` under the live-loop set `live` would note.
+    fn noted(&self, kind: AccessKind, inst: InstId, live: SetId) -> bool {
+        let last = match kind {
+            AccessKind::Read => self.last_read.map(|(r, _)| r),
+            AccessKind::Write => self.last_write,
+        };
+        last.is_some_and(|r| r.inst == inst) && self.live[kind as usize] == live
+    }
+
+    /// Every access record the entry holds.
+    fn records(&mut self) -> impl Iterator<Item = &mut AccessRec> {
+        self.last_write.iter_mut().chain(self.last_read.iter_mut().map(|(r, _)| r))
     }
 }
 
@@ -109,15 +270,24 @@ struct LineTable {
     lines: Vec<Vec<(u64, AccessLines)>>,
     /// Every address's links, in one arena.
     links: Vec<Link>,
-    /// `(loop, entry index)` for each live loop, for the access being
-    /// recorded.
-    touched: Vec<(LoopId, u32)>,
 }
 
 impl LineTable {
+    /// The index of loop `l`'s entry among the links from `head`.
+    fn find(&self, head: u32, l: LoopId) -> Option<u32> {
+        let mut at = head;
+        while at != NO_LINK {
+            let link = self.links[at as usize];
+            if link.l == l {
+                return Some(link.entry);
+            }
+            at = link.next;
+        }
+        None
+    }
+
     /// Add the access's line to its entry in every distinct live loop,
-    /// creating entries (and links from `head`) on first touch, and
-    /// remember each entry's index in `touched`.
+    /// creating entries (and links from `head`) on first touch.
     fn note(
         &mut self,
         head: &mut u32,
@@ -125,25 +295,15 @@ impl LineTable {
         prog: &IrProgram,
         access: &MemAccess,
     ) {
-        self.touched.clear();
         for &l in live_loops {
-            let mut at = *head;
-            let idx = loop {
-                if at == NO_LINK {
-                    let entries = &mut self.lines[l as usize];
-                    let idx =
-                        u32::try_from(entries.len()).expect("fewer than 2^32 entries per loop");
-                    entries.push((access.addr, AccessLines::default()));
-                    self.links.push(Link { l, entry: idx, next: *head });
-                    *head = u32::try_from(self.links.len() - 1).expect("fewer than 2^32 links");
-                    break idx;
-                }
-                let link = self.links[at as usize];
-                if link.l == l {
-                    break link.entry;
-                }
-                at = link.next;
-            };
+            let idx = self.find(*head, l).unwrap_or_else(|| {
+                let entries = &mut self.lines[l as usize];
+                let idx = u32::try_from(entries.len()).expect("fewer than 2^32 entries per loop");
+                entries.push((access.addr, AccessLines::default()));
+                self.links.push(Link { l, entry: idx, next: *head });
+                *head = u32::try_from(self.links.len() - 1).expect("fewer than 2^32 links");
+                idx
+            });
             let e = &mut self.lines[l as usize][idx as usize].1;
             match access.kind {
                 AccessKind::Read => e.read_lines.add(access.line),
@@ -153,13 +313,12 @@ impl LineTable {
             if e.name_inst.is_none() && names_variable(&prog.insts[access.inst as usize].kind) {
                 e.name_inst = Some(access.inst);
             }
-            self.touched.push((l, idx));
         }
     }
 
-    /// The current access's line entry for live loop `l`.
-    fn touched_entry(&mut self, l: LoopId) -> Option<&mut AccessLines> {
-        let &(_, idx) = self.touched.iter().find(|(t, _)| *t == l)?;
+    /// Loop `l`'s entry for the address whose links start at `head`.
+    fn entry(&mut self, head: u32, l: LoopId) -> Option<&mut AccessLines> {
+        let idx = self.find(head, l)?;
         Some(&mut self.lines[l as usize][idx as usize].1)
     }
 }
@@ -186,20 +345,33 @@ pub struct DependenceProfiler<'p> {
     /// never reused, every slot of every call.
     shadow: IntMap<u64, Shadow>,
     loop_stack: Vec<LoopFrame>,
+    /// The nodes of `loop_stack`'s prefixes, as far as they were interned:
+    /// the frames past `loop_ids.len()` changed since the last access.
+    loop_ids: Vec<NodeId>,
+    stacks: Trie<LoopFrame>,
     /// The distinct loops on `loop_stack`, in order of first push.
     live_loops: Vec<LoopId>,
+    /// Live-loop set ids: a trie of the sequences `live_loops` has held,
+    /// keyed by `(parent set, loop)`, under the empty set [`NO_LOOPS`]. It
+    /// is small, since a sequence holds each loop at most once, and it is
+    /// never compacted.
+    live_sets: IntMap<(SetId, LoopId), SetId>,
+    /// The set ids of `live_loops`' non-empty prefixes.
+    live_ids: Vec<SetId>,
     /// How many frames of each loop are on `loop_stack` (indexed by loop).
     on_stack: Vec<u32>,
     /// Interleaved call/loop context chain (see [`ChainFrame`]).
     chain: Vec<ChainFrame>,
+    /// The nodes of `chain`'s interned prefixes, as `loop_ids` is for the
+    /// loop stack.
+    chain_ids: Vec<NodeId>,
+    chains: Trie<ChainFrame>,
     /// Whether each active function pushed a chain frame (the entry call
     /// does not).
     chain_pushed: Vec<bool>,
     next_instance: u64,
-    /// Memoized `Rc` copies of the current stacks, rebuilt only after a
-    /// loop/call event changes them.
-    cached_stack: Option<Rc<[LoopFrame]>>,
-    cached_chain: Option<Rc<[ChainFrame]>>,
+    /// The fixed part of the tries' compaction limit.
+    slack: usize,
     lines: LineTable,
     /// Cross-loop iteration pairs keyed by `(x, y, address)`.
     cross_pairs: IntMap<(LoopId, LoopId, u64), (u64, u64)>,
@@ -219,18 +391,19 @@ impl<'p> DependenceProfiler<'p> {
             data,
             shadow: IntMap::default(),
             loop_stack: Vec::new(),
+            loop_ids: Vec::new(),
+            stacks: Trie::new(COMPACT_SLACK),
             live_loops: Vec::new(),
+            live_sets: IntMap::default(),
+            live_ids: Vec::new(),
             on_stack: vec![0; prog.loop_count()],
             chain: Vec::new(),
+            chain_ids: Vec::new(),
+            chains: Trie::new(COMPACT_SLACK),
             chain_pushed: Vec::new(),
             next_instance: 0,
-            cached_stack: None,
-            cached_chain: None,
-            lines: LineTable {
-                lines: vec![Vec::new(); prog.loop_count()],
-                links: Vec::new(),
-                touched: Vec::new(),
-            },
+            slack: COMPACT_SLACK,
+            lines: LineTable { lines: vec![Vec::new(); prog.loop_count()], links: Vec::new() },
             cross_pairs: IntMap::default(),
             loop_stats: vec![None; prog.loop_count()],
             last_insert: vec![LastInsert::default(); prog.inst_count() * 3],
@@ -242,15 +415,16 @@ impl<'p> DependenceProfiler<'p> {
         let DependenceProfiler {
             mut data,
             shadow,
-            lines: LineTable { lines, links, .. },
+            stacks,
+            chains,
+            lines: LineTable { lines, links },
             cross_pairs,
             loop_stats,
             ..
         } = self;
         // The per-address tables go before the output is built, so the two
         // are never live at once.
-        drop(shadow);
-        drop(links);
+        drop((shadow, stacks, chains, links));
         // Bulk-built in place: one sort per loop (addresses mostly arrive
         // in order) instead of a tree insert per entry.
         for (l, entries) in (0..).zip(lines) {
@@ -269,99 +443,87 @@ impl<'p> DependenceProfiler<'p> {
         data
     }
 
-    fn snapshot(&mut self) -> Rc<[LoopFrame]> {
-        if let Some(s) = &self.cached_stack {
-            return Rc::clone(s);
+    /// Drop the trie nodes that neither a shadow record nor the current
+    /// contexts refer to, and renumber the rest. Afterwards a trie may grow
+    /// to twice what is in use (or to twice the shadow entries, whichever
+    /// is more) plus `slack` before the next compaction, so the tries stay
+    /// proportional to the addresses touched, and the work of compacting
+    /// is paid for by the nodes made since the last time.
+    fn compact(&mut self) {
+        let mut stack_map = self.stacks.unmarked();
+        let mut chain_map = self.chains.unmarked();
+        for r in self.shadow.values_mut().flat_map(Shadow::records) {
+            stack_map[r.stack as usize] = KEEP;
+            chain_map[r.chain as usize] = KEEP;
         }
-        let s: Rc<[LoopFrame]> = self.loop_stack.as_slice().into();
-        self.cached_stack = Some(Rc::clone(&s));
-        s
-    }
-
-    fn chain_snapshot(&mut self) -> Rc<[ChainFrame]> {
-        if let Some(c) = &self.cached_chain {
-            return Rc::clone(c);
+        for &id in &self.loop_ids {
+            stack_map[id as usize] = KEEP;
         }
-        let c: Rc<[ChainFrame]> = self.chain.as_slice().into();
-        self.cached_chain = Some(Rc::clone(&c));
-        c
-    }
-
-    /// Invalidate the memoized snapshots after a context change.
-    fn invalidate_snapshots(&mut self) {
-        self.cached_stack = None;
-        self.cached_chain = None;
-    }
-
-    /// Lift a dependence between two dynamic accesses to statement level:
-    /// walk the two context chains until they diverge; the diverging frames
-    /// (or, where a chain has ended, the access instruction itself) are two
-    /// statements of the same region.
-    fn lift(
-        a_chain: &[ChainFrame],
-        a_inst: InstId,
-        b_chain: &[ChainFrame],
-        b_inst: InstId,
-    ) -> (InstId, InstId) {
-        let mut d = 0;
-        loop {
-            match (a_chain.get(d), b_chain.get(d)) {
-                (Some(fa), Some(fb)) => {
-                    if fa != fb {
-                        return (fa.inst, fb.inst);
-                    }
-                    d += 1;
-                }
-                (Some(fa), None) => return (fa.inst, b_inst),
-                (None, Some(fb)) => return (a_inst, fb.inst),
-                (None, None) => return (a_inst, b_inst),
-            }
+        for &id in &self.chain_ids {
+            chain_map[id as usize] = KEEP;
         }
+        self.stacks.retain(&mut stack_map);
+        self.chains.retain(&mut chain_map);
+        for r in self.shadow.values_mut().flat_map(Shadow::records) {
+            r.stack = stack_map[r.stack as usize];
+            r.chain = chain_map[r.chain as usize];
+        }
+        for id in &mut self.loop_ids {
+            *id = stack_map[*id as usize];
+        }
+        for id in &mut self.chain_ids {
+            *id = chain_map[*id as usize];
+        }
+        let shadow_entries = self.shadow.len();
+        self.stacks.limit = 2 * self.stacks.nodes.len().max(shadow_entries) + self.slack;
+        self.chains.limit = 2 * self.chains.nodes.len().max(shadow_entries) + self.slack;
     }
 
     /// Classify a dependence from the loop contexts of its two endpoints.
     /// Returns the site and, for cross-loop dependences, the `(i_x, i_y)`
     /// iteration pair at the diverging depth.
-    fn classify(w: &[LoopFrame], r: &[LoopFrame]) -> (DepSite, Option<(u64, u64)>) {
-        let depth = w.len().max(r.len());
-        for d in 0..depth {
-            match (w.get(d), r.get(d)) {
-                (Some(wf), Some(rf)) => {
-                    if wf.l != rf.l {
-                        return (DepSite::CrossLoop { x: wf.l, y: rf.l }, Some((wf.iter, rf.iter)));
-                    }
-                    if wf.instance != rf.instance {
-                        return (DepSite::CrossInstance { l: wf.l }, None);
-                    }
-                    if wf.iter != rf.iter {
-                        let distance = rf.iter.saturating_sub(wf.iter).max(1);
-                        return (DepSite::Carried { l: wf.l, distance }, None);
-                    }
+    fn classify(&self, w: NodeId, r: NodeId) -> (DepSite, Option<(u64, u64)>) {
+        match self.stacks.split(w, r) {
+            (None, None) => (DepSite::Intra, None),
+            (Some(wf), Some(rf)) => {
+                if wf.l != rf.l {
+                    (DepSite::CrossLoop { x: wf.l, y: rf.l }, Some((wf.iter, rf.iter)))
+                } else if wf.instance != rf.instance {
+                    (DepSite::CrossInstance { l: wf.l }, None)
+                } else {
+                    let distance = rf.iter.saturating_sub(wf.iter).max(1);
+                    (DepSite::Carried { l: wf.l, distance }, None)
                 }
-                _ => return (DepSite::OutsideLoop, None),
             }
+            _ => (DepSite::OutsideLoop, None),
         }
-        (DepSite::Intra, None)
     }
 
-    /// Record the dependence from `src` to the current access and return
-    /// its classification.
+    /// Lift a dependence between two dynamic accesses to statement level:
+    /// where the two context chains diverge, the diverging frames (or, where
+    /// a chain has ended, the access instruction itself) are two statements
+    /// of the same region.
+    fn lift(&self, a: AccessRec, b: AccessRec) -> (InstId, InstId) {
+        let (fa, fb) = self.chains.split(a.chain, b.chain);
+        (fa.map_or(a.inst, |f| f.inst), fb.map_or(b.inst, |f| f.inst))
+    }
+
+    /// Record the dependence from `src` to the current access `sink` and
+    /// return its classification.
     fn observe(
         &mut self,
-        src: &AccessRec,
-        sink: InstId,
-        stack: &[LoopFrame],
-        chain: &[ChainFrame],
+        src: AccessRec,
+        sink: AccessRec,
         kind: DepKind,
     ) -> (DepSite, Option<(u64, u64)>) {
-        let (site, iter_pair) = Self::classify(&src.stack, stack);
-        let last = &mut self.last_insert[sink as usize * 3 + kind as usize];
-        let dep = Dep { src: src.inst, sink, kind, site };
+        let (site, iter_pair) = self.classify(src.stack, sink.stack);
+        let dep = Dep { src: src.inst, sink: sink.inst, kind, site };
+        let region = self.lift(src, sink);
+        let last = &mut self.last_insert[sink.inst as usize * 3 + kind as usize];
         if last.dep != Some(dep) {
             self.data.deps.insert(dep);
             last.dep = Some(dep);
         }
-        let region = Self::lift(&src.chain, src.inst, chain, sink);
         if last.region != Some(region) {
             self.data.region_deps.insert((region.0, region.1, kind));
             last.region = Some(region);
@@ -369,26 +531,18 @@ impl<'p> DependenceProfiler<'p> {
         (site, iter_pair)
     }
 
-    fn on_read(&mut self, access: MemAccess) {
-        let stack = self.snapshot();
-        let chain = self.chain_snapshot();
-        let shadow = self.shadow.entry(access.addr).or_default();
-        self.lines.note(&mut shadow.lines, &self.live_loops, self.prog, &access);
-        let last_write = shadow.last_write.clone();
-        shadow.last_read = Some(AccessRec {
-            inst: access.inst,
-            stack: Rc::clone(&stack),
-            chain: Rc::clone(&chain),
-        });
-        let Some(w) = last_write else { return };
-        match self.observe(&w, access.inst, &stack, &chain, DepKind::Raw) {
+    /// Record the dependence of a read by `rec` of `addr`, whose shadow
+    /// entry held `prev` before the read.
+    fn on_read(&mut self, addr: u64, rec: AccessRec, prev: Shadow) {
+        let Some(w) = prev.last_write else { return };
+        match self.observe(w, rec, DepKind::Raw) {
             (DepSite::CrossLoop { x, y }, Some(pair)) => {
                 // First read wins; the shadow write is by construction the
                 // last write before it.
-                self.cross_pairs.entry((x, y, access.addr)).or_insert(pair);
+                self.cross_pairs.entry((x, y, addr)).or_insert(pair);
             }
             (DepSite::Carried { l, .. }, _) => {
-                if let Some(e) = self.lines.touched_entry(l) {
+                if let Some(e) = self.lines.entry(prev.lines, l) {
                     e.inter_iteration = true;
                 }
             }
@@ -396,25 +550,15 @@ impl<'p> DependenceProfiler<'p> {
         }
     }
 
-    fn on_write(&mut self, access: MemAccess) {
-        let stack = self.snapshot();
-        let chain = self.chain_snapshot();
-        let shadow = self.shadow.entry(access.addr).or_default();
-        self.lines.note(&mut shadow.lines, &self.live_loops, self.prog, &access);
-        let last_read = shadow.last_read.take();
-        let last_write = shadow.last_write.replace(AccessRec {
-            inst: access.inst,
-            stack: Rc::clone(&stack),
-            chain: Rc::clone(&chain),
-        });
-        if let Some(r) = last_read {
-            self.observe(&r, access.inst, &stack, &chain, DepKind::War);
+    /// Record the dependences of a write by `rec` to an address whose
+    /// shadow entry held `prev` before the write.
+    fn on_write(&mut self, rec: AccessRec, prev: Shadow) {
+        if let Some((r, true)) = prev.last_read {
+            self.observe(r, rec, DepKind::War);
         }
-        if let Some(w) = last_write {
-            if let (DepSite::Carried { l, .. }, _) =
-                self.observe(&w, access.inst, &stack, &chain, DepKind::Waw)
-            {
-                if let Some(e) = self.lines.touched_entry(l) {
+        if let Some(w) = prev.last_write {
+            if let (DepSite::Carried { l, .. }, _) = self.observe(w, rec, DepKind::Waw) {
+                if let Some(e) = self.lines.entry(prev.lines, l) {
                     e.rewritten = true;
                 }
             }
@@ -430,7 +574,6 @@ impl Observer for DependenceProfiler<'_> {
         _is_recursive: bool,
     ) {
         if let Some(inst) = call_inst {
-            self.cached_chain = None;
             let key = self.next_instance;
             self.next_instance += 1;
             self.chain.push(ChainFrame { inst, key });
@@ -441,12 +584,11 @@ impl Observer for DependenceProfiler<'_> {
     fn exit_function(&mut self, _func: parpat_ir::FuncId) {
         if self.chain_pushed.pop().expect("exit_function without enter") {
             self.chain.pop();
-            self.cached_chain = None;
+            self.chain_ids.truncate(self.chain.len());
         }
     }
 
     fn enter_loop(&mut self, l: LoopId) {
-        self.invalidate_snapshots();
         let instance = self.next_instance;
         self.next_instance += 1;
         let stats = self.loop_stats[l as usize].get_or_insert_with(LoopStats::default);
@@ -455,22 +597,27 @@ impl Observer for DependenceProfiler<'_> {
         let count = &mut self.on_stack[l as usize];
         if *count == 0 {
             self.live_loops.push(l);
+            let parent = self.live_ids.last().copied().unwrap_or(NO_LOOPS);
+            let next = SetId::try_from(self.live_sets.len() + 1).expect("fewer than 2^32 sets");
+            self.live_ids.push(*self.live_sets.entry((parent, l)).or_insert(next));
         }
         *count += 1;
         self.chain.push(ChainFrame { inst: self.prog.loops[l as usize].head_inst, key: instance });
     }
 
     fn loop_iteration(&mut self, l: LoopId, iter: u64) {
-        self.cached_stack = None;
         let top = self.loop_stack.last_mut().expect("loop_iteration outside loop");
         debug_assert_eq!(top.l, l);
-        top.iter = iter;
+        if top.iter != iter {
+            top.iter = iter;
+            self.loop_ids.truncate(self.loop_stack.len() - 1);
+        }
     }
 
     fn exit_loop(&mut self, l: LoopId, iterations: u64) {
-        self.invalidate_snapshots();
         let top = self.loop_stack.pop().expect("exit_loop without enter");
         debug_assert_eq!(top.l, l);
+        self.loop_ids.truncate(self.loop_stack.len());
         let count = &mut self.on_stack[top.l as usize];
         *count -= 1;
         if *count == 0 {
@@ -478,8 +625,10 @@ impl Observer for DependenceProfiler<'_> {
             // its frames to leave, so its loop is the newest live one.
             let newest = self.live_loops.pop();
             debug_assert_eq!(newest, Some(top.l));
+            self.live_ids.pop();
         }
         self.chain.pop();
+        self.chain_ids.truncate(self.chain.len());
         let stats = self.loop_stats[l as usize].get_or_insert_with(LoopStats::default);
         stats.executions += 1;
         stats.total_iterations += iterations;
@@ -492,9 +641,33 @@ impl Observer for DependenceProfiler<'_> {
     }
 
     fn memory(&mut self, access: MemAccess) {
+        // Compacting renumbers the tries, so it happens before any id is
+        // taken.
+        if self.stacks.full() || self.chains.full() {
+            self.compact();
+        }
+        let rec = AccessRec {
+            inst: access.inst,
+            stack: self.stacks.intern(&self.loop_stack, &mut self.loop_ids),
+            chain: self.chains.intern(&self.chain, &mut self.chain_ids),
+        };
+        let live = self.live_ids.last().copied().unwrap_or(NO_LOOPS);
+        let shadow = self.shadow.entry(access.addr).or_default();
+        if !shadow.noted(access.kind, access.inst, live) {
+            self.lines.note(&mut shadow.lines, &self.live_loops, self.prog, &access);
+        }
+        let prev = *shadow;
+        shadow.live[access.kind as usize] = live;
         match access.kind {
-            AccessKind::Read => self.on_read(access),
-            AccessKind::Write => self.on_write(access),
+            AccessKind::Read => {
+                shadow.last_read = Some((rec, true));
+                self.on_read(access.addr, rec, prev);
+            }
+            AccessKind::Write => {
+                shadow.last_write = Some(rec);
+                shadow.last_read = prev.last_read.map(|(r, _)| (r, false));
+                self.on_write(rec, prev);
+            }
         }
     }
 }
@@ -904,6 +1077,93 @@ fn main() { fib(8); }";
             ),
             16384
         );
+    }
+
+    impl<'p> DependenceProfiler<'p> {
+        /// A profiler whose tries are compacted as often as the rule
+        /// allows: no slack, so the limit is twice what is in use.
+        fn compacting_eagerly(prog: &'p IrProgram) -> Self {
+            let mut profiler = DependenceProfiler::new(prog);
+            profiler.slack = 0;
+            profiler.stacks.limit = 0;
+            profiler.chains.limit = 0;
+            profiler
+        }
+
+        fn trie_nodes(&self) -> usize {
+            self.stacks.nodes.len() + self.chains.nodes.len()
+        }
+    }
+
+    fn assert_same_profile(label: &str, a: &ProfileData, b: &ProfileData) {
+        assert!(a.deps == b.deps, "{label}: `deps` differs");
+        assert!(a.region_deps == b.region_deps, "{label}: `region_deps` differs");
+        assert!(a.loop_access_lines == b.loop_access_lines, "{label}: `loop_access_lines` differs");
+        assert!(a.cross_loop_pairs == b.cross_loop_pairs, "{label}: `cross_loop_pairs` differs");
+        assert_eq!(a.loop_stats, b.loop_stats, "{label}: `loop_stats` differs");
+        assert_eq!(a.inst_counts, b.inst_counts, "{label}: `inst_counts` differs");
+        assert_eq!(a.total_insts, b.total_insts, "{label}: `total_insts` differs");
+        assert_eq!(a.runs, b.runs, "{label}: `runs` differs");
+    }
+
+    #[test]
+    fn eager_compaction_changes_no_profile() {
+        let models = parpat_suite::all_apps().into_iter().chain(parpat_suite::synthetic_apps());
+        let mut cases: Vec<(String, String, ExecLimits)> = models
+            .map(|app| (app.name.to_owned(), app.model.to_owned(), ExecLimits::default()))
+            .collect();
+        assert_eq!(cases.len(), 19);
+        let limits = ExecLimits { max_insts: 400_000, ..ExecLimits::default() };
+        for seed in 0x00D1_FF00..0x00D1_FF00 + 200u64 {
+            cases.push((
+                format!("seed {seed:#x}"),
+                parpat_minilang::genprog::generate(seed),
+                limits,
+            ));
+        }
+        let (mut eager_nodes, mut default_nodes) = (0, 0);
+        for (label, src, limits) in &cases {
+            let ast = parpat_minilang::parse_checked(src).unwrap();
+            let ir = parpat_ir::lower(&ast);
+            let entry = ir.entry.unwrap();
+            let mut eager = DependenceProfiler::compacting_eagerly(&ir);
+            let eager_outcome = run_function(&ir, entry, &[], &mut eager, *limits).map(|o| o.insts);
+            let mut default = DependenceProfiler::new(&ir);
+            let outcome = run_function(&ir, entry, &[], &mut default, *limits).map(|o| o.insts);
+            assert_eq!(eager_outcome, outcome, "{label}: outcomes differ");
+            eager_nodes += eager.trie_nodes();
+            default_nodes += default.trie_nodes();
+            assert_same_profile(label, &eager.into_data(), &default.into_data());
+        }
+        assert!(eager_nodes < default_nodes, "eager compaction dropped no node");
+    }
+
+    #[test]
+    fn tries_stay_bounded_over_a_long_loop() {
+        // Each iteration makes a loop-stack node, 200k in all without
+        // compaction.
+        let ir =
+            compile("fn main() { let s = 0; for i in 0..200000 { s += 1; } return s; }").unwrap();
+        let mut profiler = DependenceProfiler::new(&ir);
+        run_function(&ir, ir.entry.unwrap(), &[], &mut profiler, ExecLimits::default()).unwrap();
+        assert!(
+            profiler.stacks.nodes.len() <= 2 * COMPACT_SLACK,
+            "{}",
+            profiler.stacks.nodes.len()
+        );
+        assert!(
+            profiler.chains.nodes.len() <= 2 * COMPACT_SLACK,
+            "{}",
+            profiler.chains.nodes.len()
+        );
+    }
+
+    #[test]
+    fn shadow_entries_are_small_copy_values() {
+        fn copy<T: Copy>() {}
+        copy::<AccessRec>();
+        copy::<Shadow>();
+        assert!(std::mem::size_of::<Shadow>() <= 44);
     }
 
     #[test]

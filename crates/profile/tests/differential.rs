@@ -30,7 +30,12 @@
 //! SSA differential gate), and hand-written shapes that stress the tables'
 //! bookkeeping: one loop id stacked many times by recursion, one callee
 //! loop reached from two call sites, parameter stores, and inner loops
-//! re-entered across outer iterations.
+//! re-entered across outer iterations. Three more shapes stress the line
+//! table's memo, which skips an access whose instruction and live-loop set
+//! repeat the address's last access of the same kind: one instruction run
+//! under three live-loop sets, a recursion whose live-loop set shrinks and
+//! grows between runs of one instruction, and carried RAW and WAW
+//! dependences whose accesses the memo skipped.
 
 mod reference;
 
@@ -282,6 +287,81 @@ fn main() {
     )
     .expect("completes");
     assert!(!p.cross_loop_pairs.is_empty(), "sibling loops exchange data");
+}
+
+#[test]
+fn one_access_under_three_live_loop_sets() {
+    // `bump`'s read and write of `g[0]` run from `main` (no live loop),
+    // inside loop A, and inside A and B, and back again.
+    let p = differential(
+        "three live sets",
+        "global g[1];
+fn bump(k) {
+    g[0] = g[0] + k;
+    return 0;
+}
+fn main() {
+    bump(1);
+    for i in 0..3 {
+        bump(i);
+        for j in 0..3 { bump(j); }
+        bump(i);
+    }
+    bump(2);
+    return g[0];
+}",
+        ExecLimits::default(),
+    )
+    .expect("completes");
+    assert_eq!(p.loop_access_lines.len(), 2, "both loops see `g[0]`");
+}
+
+#[test]
+fn recursion_shrinks_and_grows_the_live_loop_set() {
+    // The first statement of `rec` runs under {}, {K}, {L} and {K, L},
+    // changing set between consecutive runs in both directions.
+    differential(
+        "live set shrinks and grows",
+        "global g[2];
+fn rec(d) {
+    g[0] = g[0] + d;
+    if d < 1 { return 0; }
+    for i in 0..2 {
+        rec(d - 1);
+        g[1] = g[1] + g[0];
+    }
+    return 0;
+}
+fn main() {
+    rec(2);
+    for k in 0..3 {
+        rec(k);
+        g[0] = g[0] * 2;
+    }
+    return g[0] + g[1];
+}",
+        ExecLimits::default(),
+    )
+    .expect("completes");
+}
+
+#[test]
+fn carried_flags_on_an_address_whose_note_was_skipped() {
+    // From the second iteration on, the read and the write of `g[0]` repeat
+    // the instruction and live set of the previous ones: the line table
+    // notes neither, yet they carry the RAW and the WAW that set the flags.
+    let p = differential(
+        "skipped notes carry",
+        "global g[1];
+fn main() {
+    for i in 0..4 { g[0] = g[0] + i; }
+    return g[0];
+}",
+        ExecLimits::default(),
+    )
+    .expect("completes");
+    let g = p.loop_access_lines[&0][&0];
+    assert!(g.inter_iteration && g.rewritten, "{g:?}");
 }
 
 /// Every instruction that names a variable, with the name the old profile

@@ -94,12 +94,6 @@ impl ThreadPool {
             guard = wait_recover(&self.shared.idle_cv, guard);
         }
     }
-
-    /// Run `f`, then wait until the pool is idle (a crude scope).
-    pub fn run_and_wait(&self, f: impl FnOnce(&ThreadPool)) {
-        f(self);
-        self.wait_idle();
-    }
 }
 
 impl Drop for ThreadPool {

@@ -256,14 +256,6 @@ impl Client {
         self.call(&format!("\"cmd\": \"analyze\", \"app\": {}", json_str(app)))
     }
 
-    /// Analyze a bundled benchmark under a client-side deadline (ms).
-    pub fn analyze_app_within(&mut self, app: &str, deadline_ms: u64) -> std::io::Result<String> {
-        self.call(&format!(
-            "\"cmd\": \"analyze\", \"app\": {}, \"deadline_ms\": {deadline_ms}",
-            json_str(app)
-        ))
-    }
-
     /// Analyze inline source under a client-side deadline (ms).
     pub fn analyze_within(
         &mut self,

@@ -261,11 +261,6 @@ impl Server {
         self.shared.shutdown.store(true, Ordering::SeqCst);
     }
 
-    /// `true` once a shutdown has been requested by any path.
-    pub fn shutdown_requested(&self) -> bool {
-        self.shared.shutting_down()
-    }
-
     /// Block until shutdown, drain connections and in-flight jobs, then
     /// return the service-lifetime statistics (also persisted to the
     /// cache directory, when one is configured).

@@ -314,18 +314,6 @@ impl SsaFunc {
         }
         owner
     }
-
-    /// The innermost loop containing each block, if any.
-    pub fn innermost_loop_of_blocks(&self) -> Vec<Option<usize>> {
-        // Outer loops are recorded first, so later (inner) loops overwrite.
-        let mut owner = vec![None; self.blocks.len()];
-        for (li, l) in self.loops.iter().enumerate() {
-            for &b in &l.blocks {
-                owner[b] = Some(li);
-            }
-        }
-        owner
-    }
 }
 
 /// Lowering context for one function.

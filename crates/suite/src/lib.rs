@@ -165,11 +165,6 @@ pub fn loop_cost_per_iter(a: &Analysis, l: LoopId) -> f64 {
     }
 }
 
-/// Total iterations a loop executed.
-pub fn loop_iterations(a: &Analysis, l: LoopId) -> u64 {
-    a.profile.loop_stats.get(&l).map(|s| s.total_iterations).unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used)]

@@ -8,7 +8,7 @@
 
 use parpat_core::Analysis;
 use parpat_sim::{
-    doall, fused_doall, geometric, pipeline, reduction, simulate, Overheads, PipelineShape, Sweep,
+    fused_doall, geometric, pipeline, reduction, simulate, Overheads, PipelineShape, Sweep,
     TaskGraph, PAPER_THREADS,
 };
 
@@ -189,30 +189,6 @@ fn reduction_graph(analysis: &Analysis, workers: usize, ov: Overheads) -> TaskGr
     let n = analysis.profile.loop_stats.get(&l).map(|s| s.total_iterations).unwrap_or(0);
     let cost = loop_cost_per_iter(analysis, l);
     reduction(n, cost, cost.max(10.0), workers, ov)
-}
-
-/// A plain do-all reference graph for a loop (used by ablation benches).
-pub fn doall_graph(analysis: &Analysis, l: parpat_ir::LoopId, workers: usize) -> TaskGraph {
-    let n = analysis.profile.loop_stats.get(&l).map(|s| s.max_iterations).unwrap_or(0);
-    doall(n, loop_cost_per_iter(analysis, l), workers, default_overheads())
-}
-
-/// Build all CU-graph unit weights/edges as plain vectors (handy for
-/// `from_units`-style experiments).
-pub fn unit_vectors(analysis: &Analysis, region_idx: usize) -> (Vec<f64>, Vec<(usize, usize)>) {
-    let graph = &analysis.graphs[region_idx];
-    let order_of: std::collections::HashMap<_, _> =
-        graph.nodes.iter().enumerate().map(|(i, &c)| (c, i)).collect();
-    let weights: Vec<f64> =
-        graph.nodes.iter().map(|c| graph.weights.get(c).copied().unwrap_or(0.0)).collect();
-    let mut edges = Vec::new();
-    for &(s, t) in &graph.edges {
-        let (si, ti) = (order_of[&s], order_of[&t]);
-        if si < ti {
-            edges.push((si, ti));
-        }
-    }
-    (weights, edges)
 }
 
 #[cfg(test)]
