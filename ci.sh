@@ -45,6 +45,11 @@ cargo test -q -p parpat-profile
 # error line, message and kind, over the 19 bundled models, 200
 # generated programs and hand-written scope, fault and budget shapes.
 cargo test -q -p parpat-minilang --test differential
+# SSA gate: the optimized SSA form, run by its own executor, must match
+# the tree interpreter over the suite and 200 generated programs; the
+# verifier must report every seeded violation with its exact message, in
+# order, and an unreachable block as a violation rather than a panic.
+cargo test -q -p parpat-ssa
 # The benchmark is its own workspace, so nothing above compiles it: build
 # it against the current API and run its own tests.
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml

@@ -1067,6 +1067,15 @@ impl<'e> ProgRun<'e> {
         out.map_err(|payload| EngineError::from_panic(s, payload.as_ref()))
     }
 
+    /// Run a check of stage `s`'s output under that stage's wall-time
+    /// clock: the check's errors name `s`, so its time is `s`'s too.
+    fn charged<T>(&mut self, s: Stage, f: impl FnOnce(&mut Self) -> T) -> T {
+        let t = Instant::now();
+        let out = f(self);
+        self.wall[s.index()] += t.elapsed();
+        out
+    }
+
     /// Build the degraded (static-only) report after a dynamic-stage
     /// failure. `None` when the failure hit a static stage, or the static
     /// artifacts cannot be (re)obtained either.
@@ -1163,7 +1172,7 @@ impl<'e> ProgRun<'e> {
         // The IR verifier runs on every lowering, cached or injected: a
         // structurally broken IR never reaches the detectors, it becomes a
         // structured miscompile error instead of a downstream panic.
-        let violations = parpat_ir::verify_against(&ir, &ast);
+        let violations = self.charged(Stage::Lower, |_| parpat_ir::verify_against(&ir, &ast));
         if !violations.is_empty() {
             let shown: Vec<String> = violations.iter().take(3).map(|v| v.to_string()).collect();
             return Err(EngineError::new(
@@ -1346,22 +1355,25 @@ impl<'e> ProgRun<'e> {
             })?
             .map_err(|e| EngineError::from_analyze(Stage::Profile, &e))?;
         self.insts_executed += run.insts;
-        self.oracle_check(&ast, &run)?;
-        if self.eng.sanitize {
-            let rejects = parpat_profile::sanitize_profile(&ir, &run.profile);
-            if !rejects.is_empty() {
-                let shown: Vec<&str> = rejects.iter().take(3).map(String::as_str).collect();
-                return Err(EngineError::new(
-                    Stage::Profile,
-                    ErrorKind::Miscompile,
-                    format!(
-                        "{SANITIZER_REJECT_PREFIX}{} violation(s) in the dependence stream: {}",
-                        rejects.len(),
-                        shown.join("; ")
-                    ),
-                ));
+        self.charged(Stage::Profile, |r| {
+            r.oracle_check(&ast, &run)?;
+            if r.eng.sanitize {
+                let rejects = parpat_profile::sanitize_profile(&ir, &run.profile);
+                if !rejects.is_empty() {
+                    let shown: Vec<&str> = rejects.iter().take(3).map(String::as_str).collect();
+                    return Err(EngineError::new(
+                        Stage::Profile,
+                        ErrorKind::Miscompile,
+                        format!(
+                            "{SANITIZER_REJECT_PREFIX}{} violation(s) in the dependence stream: {}",
+                            rejects.len(),
+                            shown.join("; ")
+                        ),
+                    ));
+                }
             }
-        }
+            Ok(())
+        })?;
         let run = Arc::new(run);
         self.eng.cache.insert_memory(slot.key, slot.digest, Artifact::Profile(Arc::clone(&run)));
         Ok(run)

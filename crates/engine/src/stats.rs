@@ -53,7 +53,9 @@ pub struct StageStats {
     pub hits: u64,
     /// Resolutions that had to execute.
     pub misses: u64,
-    /// Total wall time spent inside executed stage functions.
+    /// Total wall time spent inside executed stage functions, including
+    /// the checks whose errors name the stage: the IR verifier for
+    /// `lower`, the differential oracle and the sanitizer for `profile`.
     pub wall: Duration,
     /// Dynamic instruction count accumulated by executed runs
     /// (profile stage; zero elsewhere).

@@ -1,13 +1,7 @@
-//! Fork/join and task-graph execution — the master/worker supporting
-//! structure for detected task parallelism.
+//! Fork/join — the supporting structure for detected task parallelism.
 //!
 //! [`join`] runs two closures potentially in parallel (the fib shape);
-//! [`run_task_graph`] executes an arbitrary dependence DAG of tasks with a
-//! dependency-counting scheduler — the direct executable form of a
-//! fork/worker/barrier classification from `parpat-core`.
-
-use crate::sync::{lock_recover, wait_recover};
-use std::sync::{Condvar, Mutex};
+//! [`join4`] nests it for four-way divides (the cilksort shape).
 
 /// Run `a` and `b`, potentially in parallel, returning both results.
 ///
@@ -49,98 +43,12 @@ pub fn join4<R: Send>(
     [ra, rb, rc, rd]
 }
 
-/// One task of a dependence DAG.
-pub struct GraphTask<'a> {
-    /// Indices of tasks that must complete first.
-    pub deps: Vec<usize>,
-    /// The work.
-    pub run: Box<dyn FnOnce() + Send + 'a>,
-}
-
-/// Execute a task DAG on up to `threads` threads. Tasks become ready when
-/// all of their dependencies completed; ready tasks run in index order when
-/// contended. Panics if the graph has a dependency cycle.
-pub fn run_task_graph(threads: usize, tasks: Vec<GraphTask<'_>>) {
-    let n = tasks.len();
-    if n == 0 {
-        return;
-    }
-    // Dependents adjacency + initial in-degrees.
-    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut indeg: Vec<usize> = vec![0; n];
-    for (i, t) in tasks.iter().enumerate() {
-        for &d in &t.deps {
-            assert!(d < n, "dependency {d} out of range");
-            assert!(d != i, "task {i} depends on itself");
-            dependents[d].push(i);
-            indeg[i] += 1;
-        }
-    }
-
-    struct State<'a> {
-        slots: Vec<Option<Box<dyn FnOnce() + Send + 'a>>>,
-        indeg: Vec<usize>,
-        ready: Vec<usize>,
-        completed: usize,
-    }
-    let ready: Vec<usize> =
-        indeg.iter().enumerate().filter(|(_, &d)| d == 0).map(|(i, _)| i).collect();
-    assert!(!ready.is_empty(), "task graph has no source — dependency cycle");
-
-    let state = Mutex::new(State {
-        slots: tasks.into_iter().map(|t| Some(t.run)).collect(),
-        indeg,
-        ready,
-        completed: 0,
-    });
-    let cv = Condvar::new();
-
-    let threads = threads.clamp(1, n);
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            let state = &state;
-            let cv = &cv;
-            let dependents = &dependents;
-            s.spawn(move || loop {
-                let (idx, run) = {
-                    let mut st = lock_recover(state);
-                    loop {
-                        if st.completed == n {
-                            return;
-                        }
-                        if let Some(&idx) = st.ready.iter().min() {
-                            st.ready.retain(|&r| r != idx);
-                            let run = st.slots[idx].take().expect("task taken once");
-                            break (idx, run);
-                        }
-                        st = wait_recover(cv, st);
-                    }
-                };
-                run();
-                let mut st = lock_recover(state);
-                st.completed += 1;
-                for &d in &dependents[idx] {
-                    st.indeg[d] -= 1;
-                    if st.indeg[d] == 0 {
-                        st.ready.push(d);
-                    }
-                }
-                cv.notify_all();
-            });
-        }
-    });
-
-    let st = lock_recover(&state);
-    assert_eq!(st.completed, n, "dependency cycle left {} task(s) unrun", n - st.completed);
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used)]
 
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex as StdMutex;
 
     #[test]
     fn join_returns_both_results() {
@@ -187,84 +95,5 @@ mod tests {
             a + b
         }
         assert_eq!(fib(20), 6765);
-    }
-
-    #[test]
-    fn task_graph_respects_dependencies() {
-        let order = StdMutex::new(Vec::new());
-        let push = |i: usize| {
-            order.lock().unwrap().push(i);
-        };
-        // Diamond: 0 → {1, 2} → 3.
-        run_task_graph(
-            4,
-            vec![
-                GraphTask { deps: vec![], run: Box::new(|| push(0)) },
-                GraphTask { deps: vec![0], run: Box::new(|| push(1)) },
-                GraphTask { deps: vec![0], run: Box::new(|| push(2)) },
-                GraphTask { deps: vec![1, 2], run: Box::new(|| push(3)) },
-            ],
-        );
-        let order = order.into_inner().unwrap();
-        assert_eq!(order.len(), 4);
-        assert_eq!(order[0], 0);
-        assert_eq!(order[3], 3);
-    }
-
-    #[test]
-    fn task_graph_runs_every_task_once() {
-        let count = AtomicUsize::new(0);
-        let tasks: Vec<GraphTask> = (0..50)
-            .map(|i| GraphTask {
-                deps: if i == 0 { vec![] } else { vec![i - 1] },
-                run: Box::new(|| {
-                    count.fetch_add(1, Ordering::SeqCst);
-                }),
-            })
-            .collect();
-        run_task_graph(4, tasks);
-        assert_eq!(count.load(Ordering::SeqCst), 50);
-    }
-
-    #[test]
-    #[should_panic(expected = "no source")]
-    fn cycle_panics() {
-        run_task_graph(
-            2,
-            vec![
-                GraphTask { deps: vec![1], run: Box::new(|| {}) },
-                GraphTask { deps: vec![0], run: Box::new(|| {}) },
-            ],
-        );
-    }
-
-    #[test]
-    fn empty_graph_is_ok() {
-        run_task_graph(2, Vec::new());
-    }
-
-    #[test]
-    fn three_mm_shape_barrier_after_workers() {
-        // Two independent "matrix products" then a consumer, as detected in
-        // the paper's 3mm.
-        let e = StdMutex::new(0.0f64);
-        let f = StdMutex::new(0.0f64);
-        let g = StdMutex::new(0.0f64);
-        run_task_graph(
-            2,
-            vec![
-                GraphTask { deps: vec![], run: Box::new(|| *e.lock().unwrap() = 2.0) },
-                GraphTask { deps: vec![], run: Box::new(|| *f.lock().unwrap() = 3.0) },
-                GraphTask {
-                    deps: vec![0, 1],
-                    run: Box::new(|| {
-                        let ev = *e.lock().unwrap();
-                        let fv = *f.lock().unwrap();
-                        *g.lock().unwrap() = ev * fv;
-                    }),
-                },
-            ],
-        );
-        assert_eq!(*g.lock().unwrap(), 6.0);
     }
 }

@@ -9,9 +9,8 @@
 //! - [`pipeline`] — the multi-loop pipeline executor, releasing consumer
 //!   iterations by the `(a, b)` rule from the detector's regression;
 //! - [`chain`] — n-stage pipeline chains merged from pairwise reports;
-//! - [`forkjoin`] — fork/join (`join`, `join4`) and a dependency-counting
-//!   task-graph scheduler (master/worker) for fork/worker/barrier
-//!   classifications;
+//! - [`forkjoin`] — fork/join (`join`, `join4`) for detected task
+//!   parallelism;
 //! - [`pool`] — a std-only work-stealing thread pool for `'static`
 //!   task loads;
 //! - [`sync`] — poison-recovering lock helpers so one panicking task can
@@ -37,7 +36,7 @@ pub mod reduce;
 pub mod sync;
 
 pub use chain::{run_chain, ChainStage};
-pub use forkjoin::{join, join4, run_task_graph, GraphTask};
+pub use forkjoin::{join, join4};
 pub use heartbeat::{Supervised, WatchGuard, Watchdog, WatchdogConfig};
 pub use parfor::{parallel_for, parallel_for_chunks, parallel_for_slices};
 pub use pipeline::{run_two_stage, PipelineSpec, PrefixTracker};

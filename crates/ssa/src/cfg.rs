@@ -144,12 +144,21 @@ impl Op {
         }
     }
 
-    /// Collect the operand values (phi args included).
-    pub fn operands(&self) -> Vec<ValId> {
-        let mut out = Vec::new();
-        let mut clone = self.clone();
-        clone.for_each_operand_mut(|v| out.push(*v));
-        out
+    /// The operand values in [`Op::for_each_operand_mut`]'s order (phi
+    /// args included), read in place.
+    pub fn operands(&self) -> impl Iterator<Item = ValId> + '_ {
+        let (fixed, list): ([Option<ValId>; 2], &[ValId]) = match self {
+            Op::Const(_) | Op::BoolConst(_) | Op::Param(_) | Op::GetSlot(_) | Op::Dead => {
+                ([None, None], &[])
+            }
+            Op::SetSlot(_, v) | Op::Un(_, v) | Op::Load { addr: v } => ([Some(*v), None], &[]),
+            Op::Bin(_, a, b) | Op::Store { addr: a, val: b } => ([Some(*a), Some(*b)], &[]),
+            Op::Phi { args, .. }
+            | Op::Builtin(_, args)
+            | Op::Call { args, .. }
+            | Op::ElemAddr { idx: args, .. } => ([None, None], args),
+        };
+        fixed.into_iter().flatten().chain(list.iter().copied())
     }
 }
 
@@ -183,12 +192,13 @@ pub enum Term {
 
 impl Term {
     /// Successor blocks in edge order.
-    pub fn succs(&self) -> Vec<BlockId> {
-        match self {
-            Term::Jump(b) => vec![*b],
-            Term::Branch { then_bb, else_bb, .. } => vec![*then_bb, *else_bb],
-            Term::Ret(_) => Vec::new(),
-        }
+    pub fn succs(&self) -> impl Iterator<Item = BlockId> {
+        let (first, second) = match *self {
+            Term::Jump(b) => (Some(b), None),
+            Term::Branch { then_bb, else_bb, .. } => (Some(then_bb), Some(else_bb)),
+            Term::Ret(_) => (None, None),
+        };
+        first.into_iter().chain(second)
     }
 }
 

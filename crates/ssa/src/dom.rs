@@ -1,56 +1,58 @@
 //! Dominator tree (Cooper–Harvey–Kennedy) and dominance frontiers.
+//!
+//! [`DomTree::build`] computes immediate dominators only: that is all the
+//! verifier and the reverse-postorder passes read. The tree's children and
+//! the dominance frontiers are derived from them on demand, by the code
+//! that walks the tree (promotion, CSE) or places phis (promotion).
 
 use crate::cfg::{BlockId, SsaFunc};
+
+/// Marks a block the DFS from the entry never reached.
+const UNDEF: usize = usize::MAX;
 
 /// Dominator information for one function's CFG.
 #[derive(Debug, Clone)]
 pub struct DomTree {
-    /// Immediate dominator of each block; `idom[entry] == entry`.
+    /// Immediate dominator of each block; `idom[entry] == entry`, and
+    /// `usize::MAX` for a block unreachable from the entry.
     pub idom: Vec<BlockId>,
-    /// Children in the dominator tree.
-    pub children: Vec<Vec<BlockId>>,
-    /// Dominance frontier of each block.
-    pub frontier: Vec<Vec<BlockId>>,
-    /// Reverse postorder of the CFG (entry first).
+    /// Reverse postorder of the reachable CFG (entry first).
     pub rpo: Vec<BlockId>,
-    /// Depth of each block in the dominator tree (entry = 0).
-    depth: Vec<usize>,
+    /// Postorder number of each block (`usize::MAX` if unreachable). A
+    /// dominator finishes after every block it dominates, so numbers grow
+    /// strictly up each `idom` chain.
+    order: Vec<usize>,
 }
 
 impl DomTree {
-    /// Compute dominators for a function whose blocks are all reachable
-    /// from block 0 (guaranteed by CFG finalization).
+    /// Compute immediate dominators. Blocks unreachable from block 0 (CFG
+    /// finalization prunes them; only a faulty pass leaves one) get no
+    /// dominator and are missing from [`DomTree::rpo`].
     pub fn build(f: &SsaFunc) -> DomTree {
         let n = f.blocks.len();
-        // Postorder DFS over successors.
-        let mut post: Vec<BlockId> = Vec::with_capacity(n);
-        let mut state = vec![0u8; n]; // 0 unvisited, 1 on stack, 2 done
-        let mut stack: Vec<(BlockId, usize)> = vec![(0, 0)];
-        state[0] = 1;
+        // Postorder DFS over successors, collected into `rpo` and reversed.
+        let mut rpo: Vec<BlockId> = Vec::with_capacity(n);
+        let mut order = vec![UNDEF; n];
+        let mut seen = vec![false; n];
+        let mut stack: Vec<(BlockId, usize)> = Vec::with_capacity(n);
+        stack.push((0, 0));
+        seen[0] = true;
         while let Some(&mut (b, ref mut i)) = stack.last_mut() {
-            let succs = f.blocks[b].term.succs();
-            if *i < succs.len() {
-                let s = succs[*i];
+            if let Some(s) = f.blocks[b].term.succs().nth(*i) {
                 *i += 1;
-                if state[s] == 0 {
-                    state[s] = 1;
+                if !seen[s] {
+                    seen[s] = true;
                     stack.push((s, 0));
                 }
             } else {
-                state[b] = 2;
-                post.push(b);
+                order[b] = rpo.len();
+                rpo.push(b);
                 stack.pop();
             }
         }
-        let mut rpo = post.clone();
         rpo.reverse();
-        let mut order = vec![usize::MAX; n]; // block -> postorder number
-        for (i, &b) in post.iter().enumerate() {
-            order[b] = i;
-        }
 
-        let undef = usize::MAX;
-        let mut idom = vec![undef; n];
+        let mut idom = vec![UNDEF; n];
         idom[0] = 0;
         let intersect = |idom: &[usize], mut a: BlockId, mut b: BlockId| -> BlockId {
             while a != b {
@@ -67,58 +69,66 @@ impl DomTree {
         while changed {
             changed = false;
             for &b in rpo.iter().skip(1) {
-                let mut new_idom = undef;
+                let mut new_idom = UNDEF;
                 for &p in &f.blocks[b].preds {
-                    if idom[p] == undef {
+                    if idom[p] == UNDEF {
                         continue;
                     }
-                    new_idom = if new_idom == undef { p } else { intersect(&idom, new_idom, p) };
+                    new_idom = if new_idom == UNDEF { p } else { intersect(&idom, new_idom, p) };
                 }
-                if new_idom != undef && idom[b] != new_idom {
+                if new_idom != UNDEF && idom[b] != new_idom {
                     idom[b] = new_idom;
                     changed = true;
                 }
             }
         }
-
-        let mut children = vec![Vec::new(); n];
-        for b in 1..n {
-            children[idom[b]].push(b);
-        }
-        let mut depth = vec![0usize; n];
-        for &b in &rpo {
-            if b != 0 {
-                depth[b] = depth[idom[b]] + 1;
-            }
-        }
-
-        let mut frontier = vec![Vec::new(); n];
-        for b in 0..n {
-            let preds = &f.blocks[b].preds;
-            if preds.len() < 2 {
-                continue;
-            }
-            for &p in preds {
-                let mut runner = p;
-                while runner != idom[b] {
-                    if !frontier[runner].contains(&b) {
-                        frontier[runner].push(b);
-                    }
-                    runner = idom[runner];
-                }
-            }
-        }
-
-        DomTree { idom, children, frontier, rpo, depth }
+        DomTree { idom, rpo, order }
     }
 
-    /// Does `a` dominate `b` (reflexively)?
+    /// Is `b` reachable from the entry?
+    pub fn reachable(&self, b: BlockId) -> bool {
+        self.order[b] != UNDEF
+    }
+
+    /// Does `a` dominate `b` (reflexively)? Both must be reachable.
     pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
         let mut b = b;
-        while self.depth[b] > self.depth[a] {
+        while self.order[b] < self.order[a] {
             b = self.idom[b];
         }
         a == b
+    }
+
+    /// Children of each block in the dominator tree, in block order.
+    pub fn children(&self) -> Vec<Vec<BlockId>> {
+        let mut children = vec![Vec::new(); self.idom.len()];
+        for (b, &d) in self.idom.iter().enumerate().skip(1) {
+            if d != UNDEF {
+                children[d].push(b);
+            }
+        }
+        children
+    }
+
+    /// Dominance frontier of each block of `f`, the function this tree
+    /// was built from, whose blocks must all be reachable.
+    pub fn frontiers(&self, f: &SsaFunc) -> Vec<Vec<BlockId>> {
+        let mut frontier = vec![Vec::new(); self.idom.len()];
+        for (b, blk) in f.blocks.iter().enumerate() {
+            if blk.preds.len() < 2 {
+                continue;
+            }
+            for &p in &blk.preds {
+                let mut runner = p;
+                while runner != self.idom[b] {
+                    if !frontier[runner].contains(&b) {
+                        frontier[runner].push(b);
+                    }
+                    runner = self.idom[runner];
+                }
+            }
+        }
+        frontier
     }
 }
 
@@ -147,8 +157,9 @@ mod tests {
         // immediately dominated by the entry.
         let join = (0..f.blocks.len()).find(|&b| f.blocks[b].preds.len() == 2).unwrap();
         assert_eq!(d.idom[join], 0);
+        let frontier = d.frontiers(&f);
         for &p in &f.blocks[join].preds {
-            assert!(d.frontier[p].contains(&join));
+            assert!(frontier[p].contains(&join));
             assert!(!d.dominates(p, join));
         }
     }
@@ -162,7 +173,7 @@ mod tests {
             assert!(d.dominates(l.header, b));
         }
         // The back edge puts the header in its own (or the latch's) frontier.
-        assert!(d.frontier[l.latch.unwrap()].contains(&l.header));
+        assert!(d.frontiers(&f)[l.latch.unwrap()].contains(&l.header));
         assert!(d.dominates(l.preheader, l.header));
     }
 

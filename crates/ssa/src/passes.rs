@@ -201,7 +201,7 @@ impl Pass for Cse {
     }
 
     fn run(&mut self, f: &mut SsaFunc) -> bool {
-        let dom = DomTree::build(f);
+        let children = DomTree::build(f).children();
         let mut replace: Vec<Option<ValId>> = vec![None; f.insts.len()];
         let mut map: HashMap<Key, ValId> = HashMap::new();
         let mut changed = false;
@@ -236,8 +236,7 @@ impl Pass for Cse {
                 }
                 frame.2 = inserted;
             }
-            if frame.1 < dom.children[b].len() {
-                let c = dom.children[b][frame.1];
+            if let Some(&c) = children[b].get(frame.1) {
                 frame.1 += 1;
                 frames.push((c, 0, Vec::new()));
             } else {
@@ -350,10 +349,10 @@ impl Pass for Licm {
                         if !hoistable {
                             continue;
                         }
-                        let invariant =
-                            f.insts[vi].op.operands().iter().all(|&o| {
-                                !owner[o as usize].is_some_and(|ob| in_loop.contains(&ob))
-                            });
+                        let invariant = f.insts[vi]
+                            .op
+                            .operands()
+                            .all(|o| !owner[o as usize].is_some_and(|ob| in_loop.contains(&ob)));
                         if !invariant {
                             continue;
                         }

@@ -59,28 +59,33 @@ pub fn promote_to_ssa(f: &mut SsaFunc) {
     }
 
     // Phi placement on the iterated dominance frontier of each slot's defs.
+    // One pair of per-block marks serves every slot: `has_phi[d] == s`
+    // means slot `s` has its phi in `d`, `is_def[d] == s` that `d` defines
+    // `s` (originally or through that phi).
+    let frontier = dom.frontiers(f);
     let mut phis_of_block: Vec<Vec<ValId>> = vec![Vec::new(); n_blocks];
+    let mut has_phi = vec![usize::MAX; n_blocks];
+    let mut is_def = vec![usize::MAX; n_blocks];
+    let mut work: Vec<usize> = Vec::new();
     for (s, defs) in def_blocks.iter().enumerate() {
-        let mut has_phi = vec![false; n_blocks];
-        let mut is_def = vec![false; n_blocks];
         for &b in defs {
-            is_def[b] = true;
+            is_def[b] = s;
         }
-        let mut work = defs.clone();
+        work.extend_from_slice(defs);
         while let Some(b) = work.pop() {
-            for &d in &dom.frontier[b] {
-                if has_phi[d] {
+            for &d in &frontier[b] {
+                if has_phi[d] == s {
                     continue;
                 }
-                has_phi[d] = true;
+                has_phi[d] = s;
                 let v = f.insts.len() as ValId;
                 f.insts.push(crate::cfg::Inst {
                     op: Op::Phi { slot: s, args: vec![UNFILLED; f.blocks[d].preds.len()] },
                     src,
                 });
                 phis_of_block[d].push(v);
-                if !is_def[d] {
-                    is_def[d] = true;
+                if is_def[d] != s {
+                    is_def[d] = s;
                     work.push(d);
                 }
             }
@@ -90,19 +95,20 @@ pub fn promote_to_ssa(f: &mut SsaFunc) {
         f.blocks[b].insts.splice(0..0, phis);
     }
 
-    // Renaming: dominator-tree preorder with per-slot value stacks.
+    // Renaming: dominator-tree preorder with per-slot value stacks. Every
+    // push is logged in `pushed`; a block's frame pops back to its mark.
+    let children = dom.children();
     let mut stacks: Vec<Vec<ValId>> = seed_vals.into_iter().map(|v| vec![v]).collect();
     let mut replace: Vec<Option<ValId>> = vec![None; f.insts.len()];
     let mut dead = vec![false; f.insts.len()];
-    // (block, next child index, slots pushed while visiting the block)
-    let mut frames: Vec<(usize, usize, Vec<usize>)> = vec![(0, 0, Vec::new())];
+    let mut pushed: Vec<usize> = Vec::new();
+    // (block, next child index, length of `pushed` on entry)
+    let mut frames: Vec<(usize, usize, usize)> = vec![(0, 0, 0)];
     let mut entered = vec![false; n_blocks];
     while let Some(frame) = frames.last_mut() {
         let b = frame.0;
         if !std::mem::replace(&mut entered[b], true) {
-            let mut pushed = Vec::new();
-            let insts = f.blocks[b].insts.clone();
-            for v in insts {
+            for &v in &f.blocks[b].insts {
                 let vi = v as usize;
                 let mut op = std::mem::replace(&mut f.insts[vi].op, Op::Dead);
                 if !matches!(op, Op::Phi { .. }) {
@@ -143,30 +149,24 @@ pub fn promote_to_ssa(f: &mut SsaFunc) {
             }
             // Fill phi arguments in successors.
             for succ in f.blocks[b].term.succs() {
-                let positions: Vec<usize> = f.blocks[succ]
-                    .preds
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &p)| p == b)
-                    .map(|(i, _)| i)
-                    .collect();
-                let succ_insts = f.blocks[succ].insts.clone();
-                for v in succ_insts {
+                let succ_blk = &f.blocks[succ];
+                for &v in &succ_blk.insts {
                     if let Op::Phi { slot, args } = &mut f.insts[v as usize].op {
-                        for &pos in &positions {
-                            args[pos] = *stacks[*slot].last().expect("slot stack never empty");
+                        let top = *stacks[*slot].last().expect("slot stack never empty");
+                        for (arg, &p) in args.iter_mut().zip(&succ_blk.preds) {
+                            if p == b {
+                                *arg = top;
+                            }
                         }
                     }
                 }
             }
-            frame.2 = pushed;
         }
-        if frame.1 < dom.children[b].len() {
-            let c = dom.children[b][frame.1];
+        if let Some(&c) = children[b].get(frame.1) {
             frame.1 += 1;
-            frames.push((c, 0, Vec::new()));
+            frames.push((c, 0, pushed.len()));
         } else {
-            for &s in frame.2.iter().rev() {
+            for s in pushed.drain(frame.2..).rev() {
                 stacks[s].pop();
             }
             frames.pop();
