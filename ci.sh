@@ -59,6 +59,11 @@ cargo test -q -p parpat-minilang --test fuzz
 # Static diagnostics are byte-stable over the bundled suite: the release
 # binary must reproduce the checked-in golden snapshot exactly.
 ./target/release/parpat lint apps --json | diff tests/golden/lint_apps.json -
+# Report golden gate: the `programs` section of `parpat batch apps
+# --cache-dir none --json` (every count, summary, loop class, reduction and
+# pipeline of the 17 apps) must reproduce the checked-in snapshot exactly,
+# so a change to the profiler's tables or memos that moves any verdict fails.
+cargo test -q --test report_golden
 # The IR verifier must hold over every bundled app (any V-code exits 1).
 ./target/release/parpat verify apps
 # The shrinker is deterministic: the seeded miscompile fixture must reduce

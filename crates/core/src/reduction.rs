@@ -60,10 +60,10 @@ fn single_update_line(lines: &AccessLines) -> Option<u32> {
 /// lines equal to the write lines (Algorithm 3's filter).
 fn reduction_candidates(prog: &IrProgram, profile: &ProfileData, l: LoopId) -> Vec<(u32, String)> {
     let mut found = Vec::new();
-    let Some(by_addr) = profile.loop_access_lines.get(&l) else {
+    let Some(entries) = profile.loop_access_lines.get(&l) else {
         return found;
     };
-    for lines in by_addr.values() {
+    for (_, lines) in entries {
         if !lines.inter_iteration || !lines.rewritten {
             continue;
         }
@@ -80,11 +80,11 @@ fn reduction_candidates(prog: &IrProgram, profile: &ProfileData, l: LoopId) -> V
 /// is a reduction candidate — i.e. parallelizing the loop as a reduction
 /// removes all loop-carried RAW dependences.
 pub fn reduction_addrs_cover_carried(profile: &ProfileData, l: LoopId) -> bool {
-    let Some(by_addr) = profile.loop_access_lines.get(&l) else {
+    let Some(entries) = profile.loop_access_lines.get(&l) else {
         return false;
     };
     let mut any = false;
-    for lines in by_addr.values() {
+    for (_, lines) in entries {
         if !lines.inter_iteration {
             continue;
         }

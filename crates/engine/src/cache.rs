@@ -2,7 +2,8 @@
 //!
 //! **Memory tier** — `key → (digest, Arc<Artifact>)` with LRU eviction at a
 //! fixed entry capacity. Holds live artifacts so repeated analyses inside
-//! one process skip recomputation entirely.
+//! one process skip recomputation entirely. A recency index ordered by
+//! each entry's last-use tick names the victim.
 //!
 //! **Disk tier** (optional, under a cache directory) — one small record
 //! file per key of the parse, lower and rank stages: the stage's *output
@@ -34,7 +35,7 @@
 //! full disk; the suppressed writes are counted
 //! ([`Cache::disabled_writes`]).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -115,6 +116,9 @@ struct MemEntry {
 
 struct MemCache {
     entries: HashMap<Key, MemEntry>,
+    /// Every entry's key by its tick, least recently used first. Ticks
+    /// are unique: each use takes the next one.
+    recency: BTreeMap<u64, Key>,
     clock: u64,
 }
 
@@ -156,7 +160,11 @@ impl Cache {
         }
         Ok(Cache {
             vfs,
-            mem: Mutex::new(MemCache { entries: HashMap::new(), clock: 0 }),
+            mem: Mutex::new(MemCache {
+                entries: HashMap::new(),
+                recency: BTreeMap::new(),
+                clock: 0,
+            }),
             capacity: capacity.max(1),
             dir,
             evictions: AtomicU64::new(0),
@@ -179,9 +187,12 @@ impl Cache {
     /// Probe the memory tier alone, refreshing the entry's recency.
     pub(crate) fn get(&self, key: Key) -> Option<(Artifact, u64)> {
         let mut mem = lock_recover(&self.mem);
+        let mem = &mut *mem;
         mem.clock += 1;
         let tick = mem.clock;
         let e = mem.entries.get_mut(&key)?;
+        mem.recency.remove(&e.tick);
+        mem.recency.insert(tick, key);
         e.tick = tick;
         Some((e.artifact.clone(), e.digest))
     }
@@ -203,10 +214,13 @@ impl Cache {
         let mut mem = lock_recover(&self.mem);
         mem.clock += 1;
         let tick = mem.clock;
-        mem.entries.insert(key, MemEntry { digest, artifact, tick });
+        if let Some(old) = mem.entries.insert(key, MemEntry { digest, artifact, tick }) {
+            mem.recency.remove(&old.tick);
+        }
+        mem.recency.insert(tick, key);
         while mem.entries.len() > self.capacity {
             // Evict the least-recently-used entry.
-            let Some((&victim, _)) = mem.entries.iter().min_by_key(|(_, e)| e.tick) else {
+            let Some((_, victim)) = mem.recency.pop_first() else {
                 break;
             };
             mem.entries.remove(&victim);
@@ -630,6 +644,50 @@ mod tests {
         assert!(matches!(cache.lookup(1), Lookup::Memory(..)));
         assert!(matches!(cache.lookup(3), Lookup::Memory(..)));
         assert_eq!(cache.mem_entries(), 2);
+    }
+
+    /// The memory tier's keys, sorted.
+    fn mem_keys(cache: &Cache) -> Vec<Key> {
+        let mut keys: Vec<Key> = lock_recover(&cache.mem).entries.keys().copied().collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    #[test]
+    fn lru_index_evicts_what_a_scan_would() {
+        // The model is the scan the recency index replaced: every use takes
+        // the next tick, and the entry with the smallest tick goes.
+        let cache = Cache::new(8, None).unwrap();
+        let mut model: HashMap<Key, u64> = HashMap::new();
+        let (mut clock, mut evictions) = (0u64, 0u64);
+        let mut state = 0x5EED_1A0E_u64;
+        for step in 0..5000 {
+            let key = xorshift64(&mut state) % 24;
+            clock += 1;
+            if xorshift64(&mut state).is_multiple_of(3) {
+                let hit = cache.get(key).map(|(_, digest)| digest);
+                let expected = model.get_mut(&key).map(|tick| {
+                    *tick = clock;
+                    key * 10
+                });
+                assert_eq!(hit, expected, "step {step}: get {key}");
+            } else {
+                // Inserts of a live key (re-inserts) refresh it.
+                cache.insert_memory(key, key * 10, Artifact::Report(Arc::new(report())));
+                model.insert(key, clock);
+                while model.len() > 8 {
+                    let (&victim, _) = model.iter().min_by_key(|(_, tick)| **tick).unwrap();
+                    model.remove(&victim);
+                    evictions += 1;
+                }
+            }
+            let mut expected: Vec<Key> = model.keys().copied().collect();
+            expected.sort_unstable();
+            assert_eq!(mem_keys(&cache), expected, "step {step}: victims differ");
+            assert_eq!(cache.evictions(), evictions, "step {step}");
+            assert_eq!(cache.mem_entries(), model.len(), "step {step}");
+        }
+        assert!(evictions > 1000, "{evictions} evictions");
     }
 
     #[test]

@@ -8,9 +8,11 @@
 //! read/write line facts for the reduction analysis, loop trip statistics,
 //! and dynamic instruction counts.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::hash_map::Entry;
 
 use parpat_ir::{InstId, InstKind, IrProgram, LoopId};
+
+use crate::inthash::{IntMap, IntSet};
 
 /// Kind of a data dependence between two instructions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -226,20 +228,26 @@ impl LoopStats {
 }
 
 /// Everything a profiled run produced.
+///
+/// The sets and maps hash with the crate's integer hasher
+/// ([`IntSet`], [`IntMap`]); no reader depends on their iteration order.
 #[derive(Debug, Clone, Default)]
 pub struct ProfileData {
     /// The distinct dynamic dependences observed.
-    pub deps: HashSet<Dep>,
-    /// Per loop: addresses accessed within it and their line facts
-    /// (Algorithm 3 input). Keyed by loop, then address.
-    pub loop_access_lines: HashMap<LoopId, BTreeMap<u64, AccessLines>>,
+    pub deps: IntSet<Dep>,
+    /// Per loop that touched memory: every address the loop accessed,
+    /// once, with its line facts (Algorithm 3 input). A loop's addresses
+    /// are in the order the loop first touched them; after
+    /// [`ProfileData::merge`], the addresses new to a run follow the
+    /// earlier runs' ones, in the order that run first touched them.
+    pub loop_access_lines: IntMap<LoopId, Vec<(u64, AccessLines)>>,
     /// Per ordered sibling-loop pair `(x, y)`: for each address written in
     /// `x` and later read in `y`, the pair `(i_x, i_y)` of the *last* write
     /// iteration in `x` and the *first* read iteration in `y` (the paper's
     /// filtered iteration pairs feeding linear regression).
-    pub cross_loop_pairs: HashMap<(LoopId, LoopId), HashMap<u64, (u64, u64)>>,
+    pub cross_loop_pairs: IntMap<(LoopId, LoopId), IntMap<u64, (u64, u64)>>,
     /// Trip statistics per loop.
-    pub loop_stats: HashMap<LoopId, LoopStats>,
+    pub loop_stats: IntMap<LoopId, LoopStats>,
     /// Dependences *lifted to statement level*: each endpoint of a dynamic
     /// dependence is replaced by the statement of the innermost region whose
     /// dynamic context the two endpoints stop sharing — a call instruction
@@ -249,7 +257,7 @@ pub struct ProfileData {
     /// *same* region, which is exactly what the CU-graph builder needs
     /// (`(src, sink, kind)` tuples; self-edges are kept and denote
     /// dependences between dynamic instances of the same statement).
-    pub region_deps: HashSet<(InstId, InstId, DepKind)>,
+    pub region_deps: IntSet<(InstId, InstId, DepKind)>,
     /// Dynamic execution count per instruction (indexed by `InstId`).
     pub inst_counts: Vec<u64>,
     /// Total executed instructions.
@@ -304,14 +312,23 @@ impl ProfileData {
     /// Merge another run's data into this one (the paper's multi-input
     /// profiling: run with several representative inputs, merge outputs).
     /// Dependences and line sets are unioned (see [`AccessLines::merge`]);
-    /// counts are summed; trip maxima are maxed.
+    /// an address new to a loop is appended in `other`'s order; counts are
+    /// summed; trip maxima are maxed.
     pub fn merge(&mut self, other: &ProfileData) {
         self.deps.extend(other.deps.iter().copied());
         self.region_deps.extend(other.region_deps.iter().copied());
-        for (l, by_addr) in &other.loop_access_lines {
-            let dst = self.loop_access_lines.entry(*l).or_default();
-            for (addr, lines) in by_addr {
-                dst.entry(*addr).or_default().merge(lines);
+        for (l, theirs) in &other.loop_access_lines {
+            let ours = self.loop_access_lines.entry(*l).or_default();
+            let mut at: IntMap<u64, usize> =
+                ours.iter().enumerate().map(|(i, (addr, _))| (*addr, i)).collect();
+            for (addr, lines) in theirs {
+                match at.entry(*addr) {
+                    Entry::Occupied(i) => ours[*i.get()].1.merge(lines),
+                    Entry::Vacant(slot) => {
+                        slot.insert(ours.len());
+                        ours.push((*addr, *lines));
+                    }
+                }
             }
         }
         for (k, pairs) in &other.cross_loop_pairs {
@@ -397,6 +414,30 @@ mod tests {
         a.merge(&b);
         let pairs = a.iteration_pairs(0, 1);
         assert_eq!(pairs, vec![(1, 2), (5, 6)]);
+    }
+
+    #[test]
+    fn merge_joins_shared_addresses_and_appends_new_ones_in_order() {
+        let at = |line: u32| AccessLines { read_lines: Lines::One(line), ..Default::default() };
+        let mut a = ProfileData::new(0);
+        a.loop_access_lines.insert(0, vec![(30, at(1)), (10, at(2))]);
+        a.loop_access_lines.insert(1, vec![(5, at(7))]);
+        let mut b = ProfileData::new(0);
+        b.loop_access_lines.insert(0, vec![(40, at(3)), (10, at(4)), (20, at(5)), (30, at(1))]);
+        b.loop_access_lines.insert(2, vec![(6, at(8))]);
+        a.merge(&b);
+        assert_eq!(
+            a.loop_access_lines[&0],
+            vec![
+                (30, at(1)),
+                (10, AccessLines { read_lines: Lines::Many, ..at(2) }),
+                (40, at(3)),
+                (20, at(5))
+            ]
+        );
+        assert_eq!(a.loop_access_lines[&1], vec![(5, at(7))]);
+        assert_eq!(a.loop_access_lines[&2], vec![(6, at(8))]);
+        assert_eq!(a.loop_access_lines.len(), 3);
     }
 
     #[test]

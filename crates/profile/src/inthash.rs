@@ -1,14 +1,16 @@
 //! A multiply-rotate hasher for the profiler's integer-keyed tables.
 //!
 //! Every table the profiler touches per memory access is keyed by
-//! addresses, loop ids or tuples of them. SipHash's DoS resistance buys
+//! addresses, loop ids, instruction ids or tuples of them, and the
+//! [`ProfileData`](crate::ProfileData) sets and maps it hands over keep the
+//! same hasher ([`IntMap`], [`IntSet`]). SipHash's DoS resistance buys
 //! nothing there (the keys come from the program being profiled, not from
 //! an adversary) and costs several times more than the table work itself.
 //! Each word is added to the state and multiplied by an odd constant; the
 //! final rotation brings the well-mixed high bits down, so strided
 //! addresses (whose low bits repeat) still spread over the buckets.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// 2^64 / φ, odd.
@@ -16,7 +18,7 @@ const MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Hasher state; see the module docs.
 #[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct IntHasher(u64);
+pub struct IntHasher(u64);
 
 impl IntHasher {
     #[inline]
@@ -55,8 +57,13 @@ impl Hasher for IntHasher {
     }
 }
 
-/// A `HashMap` hashed with [`IntHasher`].
-pub(crate) type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
+/// A `HashMap` hashed with a multiply-rotate integer hasher: a few
+/// instructions per integer key, and no defence against keys chosen to
+/// collide.
+pub type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
+
+/// A `HashSet` hashed like [`IntMap`].
+pub type IntSet<T> = HashSet<T, BuildHasherDefault<IntHasher>>;
 
 #[cfg(test)]
 mod tests {

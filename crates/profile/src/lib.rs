@@ -33,5 +33,6 @@ pub mod profiler;
 pub mod sanitize;
 
 pub use data::{AccessLines, Dep, DepKind, DepSite, Lines, LoopStats, ProfileData};
+pub use inthash::{IntMap, IntSet};
 pub use profiler::{profile, profile_function, profile_merged, DependenceProfiler};
 pub use sanitize::sanitize_profile;

@@ -13,7 +13,7 @@
 //!   per address),
 //! - per-loop, per-address read/write source-line facts (Algorithm 3
 //!   input): whether each line set is empty, one line or more
-//!   ([`Lines`](crate::Lines)), whether line 0 was among them, and the
+//!   ([`Lines`]), whether line 0 was among them, and the
 //!   first access instruction that names a variable.
 //!
 //! The profiler keys loop context by `(loop id, dynamic instance, iteration)`
@@ -26,13 +26,14 @@
 //! line update is O(1) and allocates nothing. Shadow memory is a map from
 //! address to shadow entry, and each shadow entry links to its address's
 //! per-loop entries (one link per loop that touched it), so an access costs
-//! one hash however many loops are live. An access whose instruction and
-//! live-loop set equal those of the address's last access of the same kind
-//! skips the line table altogether. Per-loop entries live in one vector
-//! per loop, cross-loop pairs in a flat `(x, y, address)` map, trip
-//! statistics in a vector by loop; [`DependenceProfiler::into_data`] nests
-//! them into [`ProfileData`]'s shape once. Every table keyed by address
-//! hashes with the crate's integer hasher instead of SipHash.
+//! one hash however many loops are live. An access skips the line table
+//! altogether when what its address's accesses of the same kind noted under
+//! the same live-loop set already covers it (see `Noted`). Per-loop
+//! entries live in one vector per loop, which
+//! [`DependenceProfiler::into_data`] hands over as they are; cross-loop
+//! pairs live in a flat `(x, y, address)` map and trip statistics in a
+//! vector by loop, which it nests into [`ProfileData`]'s shape once. Every
+//! table hashes with the crate's integer hasher instead of SipHash.
 //!
 //! Contexts are interned: the loop stack and the call/loop chain of an
 //! access are `u32` ids of nodes in two append-only tries, so a shadow entry
@@ -45,7 +46,9 @@ use parpat_ir::event::{AccessKind, MemAccess, Observer};
 use parpat_ir::interp::{run_function, ExecLimits};
 use parpat_ir::{FuncId, InstId, IrProgram, LoopId, RuntimeError};
 
-use crate::data::{names_variable, AccessLines, Dep, DepKind, DepSite, LoopStats, ProfileData};
+use crate::data::{
+    names_variable, AccessLines, Dep, DepKind, DepSite, Lines, LoopStats, ProfileData,
+};
 use crate::inthash::IntMap;
 
 /// One entry of the dynamic loop stack.
@@ -201,25 +204,92 @@ struct AccessRec {
     chain: NodeId,
 }
 
+/// An empty record slot: its instruction is one no program has, and its
+/// contexts are the roots, which compaction keeps in place.
+const NO_ACCESS: AccessRec = AccessRec { inst: InstId::MAX, stack: ROOT, chain: ROOT };
+
+impl AccessRec {
+    /// The record, unless the slot is empty.
+    fn get(self) -> Option<AccessRec> {
+        (self.inst != NO_ACCESS.inst).then_some(self)
+    }
+}
+
 /// The id of a set of live loops (see [`DependenceProfiler::live_sets`]).
 type SetId = u32;
 
 /// The id of the empty live-loop set.
 const NO_LOOPS: SetId = 0;
 
+/// In [`Noted::summary`]: one of the accesses named a variable.
+const NAMED: u32 = 1 << 31;
+
+/// In [`Noted::summary`]: two or more distinct lines.
+const MANY: u32 = 1;
+
+/// What an address's accesses of one kind noted in the line table since
+/// the live-loop set last changed: the set, the [`Lines`] join of their
+/// lines, and whether one of them named a variable. The first access under
+/// a set is always noted, so every loop of the set has an entry whose
+/// lines of this kind include the join, and whose `name_inst` is set once
+/// the summary is named. An access that would note nothing more (same set,
+/// a line other than 0 already in the join, no name to give or one given)
+/// is skipped; DESIGN.md, *The line memo*, has the argument.
+#[derive(Debug, Clone, Copy)]
+struct Noted {
+    set: SetId,
+    /// The join, encoded in the low 31 bits: 0 for no line, [`MANY`], or
+    /// `2 + line`; a line too large for that counts as no line, which only
+    /// makes the next access of the line be noted. The [`NAMED`] bit above.
+    summary: u32,
+}
+
+impl Noted {
+    /// Nothing noted under the empty set, where a note changes nothing.
+    const EMPTY: Noted = Noted { set: NO_LOOPS, summary: 0 };
+
+    fn lines(self) -> Lines {
+        match self.summary & !NAMED {
+            0 => Lines::None,
+            MANY => Lines::Many,
+            code => Lines::One(code - 2),
+        }
+    }
+
+    /// Fold an access of `line` under the live-loop set `set` into the
+    /// summary, resetting it first if the set changed. `names` says
+    /// whether the access's instruction names a variable; it is asked only
+    /// while no access has. Returns whether the line table already holds
+    /// everything the access would note.
+    fn fold(&mut self, set: SetId, line: u32, names: impl FnOnce() -> bool) -> bool {
+        if self.set != set {
+            *self = Noted { set, summary: 0 };
+        }
+        let lines = self.lines();
+        let joined = lines.join(Lines::One(line));
+        let named = self.summary & NAMED != 0;
+        let names_first = !named && names();
+        let code = match joined {
+            Lines::None => 0,
+            Lines::Many => MANY,
+            Lines::One(l) => l.checked_add(2).filter(|c| c & NAMED == 0).unwrap_or(0),
+        };
+        self.summary = code | if named || names_first { NAMED } else { 0 };
+        line != 0 && joined == lines && !names_first
+    }
+}
+
 /// The shadow of one address.
 #[derive(Debug, Clone, Copy)]
 struct Shadow {
-    last_write: Option<AccessRec>,
-    /// The last read, and whether it came after the last write (then the
-    /// next write depends on it, WAR).
-    last_read: Option<(AccessRec, bool)>,
-    /// The live-loop sets of the last read and the last write (indexed by
-    /// [`AccessKind`]). An access of the same kind by the same instruction
-    /// under the same set would note nothing new in the line table: its
-    /// line is the instruction's, and every entry update is a join, an OR
-    /// or a first-set.
-    live: [SetId; 2],
+    /// The last write, or [`NO_ACCESS`].
+    last_write: AccessRec,
+    /// The last read since the last write (the next write depends on it,
+    /// WAR), or [`NO_ACCESS`].
+    last_read: AccessRec,
+    /// What the reads and the writes noted in the line table (indexed by
+    /// [`AccessKind`]).
+    noted: [Noted; 2],
     /// The first of this address's links in [`LineTable::links`], or
     /// [`NO_LINK`].
     lines: u32,
@@ -227,24 +297,19 @@ struct Shadow {
 
 impl Default for Shadow {
     fn default() -> Self {
-        Shadow { last_write: None, last_read: None, live: [NO_LOOPS; 2], lines: NO_LINK }
+        Shadow {
+            last_write: NO_ACCESS,
+            last_read: NO_ACCESS,
+            noted: [Noted::EMPTY; 2],
+            lines: NO_LINK,
+        }
     }
 }
 
 impl Shadow {
-    /// Whether the line table already holds everything an access of `kind`
-    /// by `inst` under the live-loop set `live` would note.
-    fn noted(&self, kind: AccessKind, inst: InstId, live: SetId) -> bool {
-        let last = match kind {
-            AccessKind::Read => self.last_read.map(|(r, _)| r),
-            AccessKind::Write => self.last_write,
-        };
-        last.is_some_and(|r| r.inst == inst) && self.live[kind as usize] == live
-    }
-
-    /// Every access record the entry holds.
-    fn records(&mut self) -> impl Iterator<Item = &mut AccessRec> {
-        self.last_write.iter_mut().chain(self.last_read.iter_mut().map(|(r, _)| r))
+    /// Every access record the entry holds; an empty slot's roots too.
+    fn records(&mut self) -> [&mut AccessRec; 2] {
+        [&mut self.last_write, &mut self.last_read]
     }
 }
 
@@ -410,7 +475,11 @@ impl<'p> DependenceProfiler<'p> {
         }
     }
 
-    /// Consume the profiler and return the collected data.
+    /// Consume the profiler and return the collected data. Each loop's
+    /// access-line entries are handed over as the profiler kept them, in
+    /// the order the loop first touched each address. Their vector is
+    /// copied into an exact-size allocation, so that a cached profile does
+    /// not keep each vector's spare growth.
     pub fn into_data(self) -> ProfileData {
         let DependenceProfiler {
             mut data,
@@ -425,11 +494,9 @@ impl<'p> DependenceProfiler<'p> {
         // The per-address tables go before the output is built, so the two
         // are never live at once.
         drop((shadow, stacks, chains, links));
-        // Bulk-built in place: one sort per loop (addresses mostly arrive
-        // in order) instead of a tree insert per entry.
         for (l, entries) in (0..).zip(lines) {
             if !entries.is_empty() {
-                data.loop_access_lines.insert(l, entries.into_iter().collect());
+                data.loop_access_lines.insert(l, entries.as_slice().to_vec());
             }
         }
         for ((x, y, addr), pair) in cross_pairs {
@@ -534,7 +601,7 @@ impl<'p> DependenceProfiler<'p> {
     /// Record the dependence of a read by `rec` of `addr`, whose shadow
     /// entry held `prev` before the read.
     fn on_read(&mut self, addr: u64, rec: AccessRec, prev: Shadow) {
-        let Some(w) = prev.last_write else { return };
+        let Some(w) = prev.last_write.get() else { return };
         match self.observe(w, rec, DepKind::Raw) {
             (DepSite::CrossLoop { x, y }, Some(pair)) => {
                 // First read wins; the shadow write is by construction the
@@ -553,10 +620,10 @@ impl<'p> DependenceProfiler<'p> {
     /// Record the dependences of a write by `rec` to an address whose
     /// shadow entry held `prev` before the write.
     fn on_write(&mut self, rec: AccessRec, prev: Shadow) {
-        if let Some((r, true)) = prev.last_read {
+        if let Some(r) = prev.last_read.get() {
             self.observe(r, rec, DepKind::War);
         }
-        if let Some(w) = prev.last_write {
+        if let Some(w) = prev.last_write.get() {
             if let (DepSite::Carried { l, .. }, _) = self.observe(w, rec, DepKind::Waw) {
                 if let Some(e) = self.lines.entry(prev.lines, l) {
                     e.rewritten = true;
@@ -653,19 +720,20 @@ impl Observer for DependenceProfiler<'_> {
         };
         let live = self.live_ids.last().copied().unwrap_or(NO_LOOPS);
         let shadow = self.shadow.entry(access.addr).or_default();
-        if !shadow.noted(access.kind, access.inst, live) {
-            self.lines.note(&mut shadow.lines, &self.live_loops, self.prog, &access);
+        let prog = self.prog;
+        let names = || names_variable(&prog.insts[access.inst as usize].kind);
+        if !shadow.noted[access.kind as usize].fold(live, access.line, names) {
+            self.lines.note(&mut shadow.lines, &self.live_loops, prog, &access);
         }
         let prev = *shadow;
-        shadow.live[access.kind as usize] = live;
         match access.kind {
             AccessKind::Read => {
-                shadow.last_read = Some((rec, true));
+                shadow.last_read = rec;
                 self.on_read(access.addr, rec, prev);
             }
             AccessKind::Write => {
-                shadow.last_write = Some(rec);
-                shadow.last_read = prev.last_read.map(|(r, _)| (r, false));
+                shadow.last_write = rec;
+                shadow.last_read = NO_ACCESS;
                 self.on_write(rec, prev);
             }
         }
@@ -861,8 +929,9 @@ fn main() {
 }";
         let (data, ir) = profile_src(src);
         // Find the address records for loop 0 with var `s`.
-        let by_addr = &data.loop_access_lines[&0];
-        let s_rec = by_addr.values().find(|a| a.var_name(&ir) == "s").expect("record for s");
+        let entries = &data.loop_access_lines[&0];
+        let (_, s_rec) =
+            entries.iter().find(|(_, a)| a.var_name(&ir) == "s").expect("record for s");
         assert_eq!(s_rec.write_lines, Lines::One(5));
         assert_eq!(s_rec.read_lines, Lines::One(5));
         assert!(!s_rec.has_line_zero);

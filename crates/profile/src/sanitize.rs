@@ -171,9 +171,9 @@ fn loops(ir: &IrProgram, data: &ProfileData, out: &mut BTreeSet<String>) {
             ));
         }
     }
-    for (l, by_addr) in &data.loop_access_lines {
+    for (l, entries) in &data.loop_access_lines {
         loop_ref(ir, *l, "access-line entry", out);
-        for lines in by_addr.values() {
+        for (_, lines) in entries {
             if lines.has_line_zero {
                 out.insert(format!(
                     "access lines for `{}` in loop {l} include line 0",
@@ -380,7 +380,8 @@ fn main() {
             .unwrap();
         ir.insts[second_store].line = 0;
         let data = profile(&ir).unwrap();
-        let s = data.loop_access_lines[&0].values().find(|e| e.var_name(&ir) == "s").unwrap();
+        let (_, s) =
+            data.loop_access_lines[&0].iter().find(|(_, e)| e.var_name(&ir) == "s").unwrap();
         assert_eq!(s.write_lines, crate::Lines::Many);
         let v = sanitize_profile(&ir, &data);
         assert!(v.contains(&"access lines for `s` in loop 0 include line 0".to_owned()), "{v:?}");

@@ -13,8 +13,11 @@
 //! write line sets and its variable's name as a `String`. The new entry is
 //! a `Copy` value that keeps only what Algorithm 3 and the sanitizer read,
 //! so its second and later distinct lines are not recorded and cannot be
-//! compared. Every other field must be equal; access-line entries are
-//! compared through one projection of both sides onto [`LineView`]:
+//! compared. Every other field must be equal (the sets and maps, whose
+//! hashers differ, as sets and sorted maps); access-line entries are
+//! compared through one projection of both sides onto [`LineView`], keyed
+//! by (loop, address), after checking that the new side lists each address
+//! once per loop:
 //!
 //! - each line set maps to its [`Lines`] value (empty, exactly one line,
 //!   or more);
@@ -30,23 +33,29 @@
 //! SSA differential gate), and hand-written shapes that stress the tables'
 //! bookkeeping: one loop id stacked many times by recursion, one callee
 //! loop reached from two call sites, parameter stores, and inner loops
-//! re-entered across outer iterations. Three more shapes stress the line
-//! table's memo, which skips an access whose instruction and live-loop set
-//! repeat the address's last access of the same kind: one instruction run
-//! under three live-loop sets, a recursion whose live-loop set shrinks and
-//! grows between runs of one instruction, and carried RAW and WAW
-//! dependences whose accesses the memo skipped.
+//! re-entered across outer iterations. More shapes stress the line
+//! table's memo, which skips an access when the lines the address's
+//! accesses of the same kind noted under the same live-loop set already
+//! cover it: one instruction run under three live-loop sets, a recursion
+//! whose live-loop set shrinks and grows between runs of one instruction,
+//! carried RAW and WAW dependences whose accesses the memo skipped, reads
+//! on two lines in turn and then on a third, a live-loop set that changes
+//! A → B → A, and two planted into the lowered program: a line-0 write
+//! after the writes' lines are already `Many`, and a first read that names
+//! no variable before one on the same line that does.
 
 mod reference;
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt::Debug;
-use std::hash::Hash;
+use std::hash::{BuildHasher, Hash};
 
 use parpat_ir::event::Observer;
 use parpat_ir::{run_function, ExecLimits, FuncId, InstKind, IrProgram, LoopId, RuntimeError};
 use parpat_minilang::{genprog, parse_checked};
-use parpat_profile::{sanitize_profile, AccessLines, DependenceProfiler, Lines, ProfileData};
+use parpat_profile::{
+    sanitize_profile, AccessLines, DependenceProfiler, IntMap, Lines, ProfileData,
+};
 
 /// Run `func` under `obs`; the return value or the fault.
 fn run_fn(
@@ -65,12 +74,32 @@ fn run(ir: &IrProgram, obs: &mut dyn Observer, limits: ExecLimits) -> Result<f64
 }
 
 /// Panic with the first few elements only one side of a set holds.
-fn same_set<T: Eq + Hash + Debug>(label: &str, field: &str, new: &HashSet<T>, old: &HashSet<T>) {
-    if new != old {
-        let extra: Vec<_> = new.difference(old).take(5).collect();
-        let missing: Vec<_> = old.difference(new).take(5).collect();
+fn same_set<T: Eq + Hash + Debug, S: BuildHasher>(
+    label: &str,
+    field: &str,
+    new: &HashSet<T, S>,
+    old: &HashSet<T>,
+) {
+    let extra: Vec<_> = new.iter().filter(|x| !old.contains(x)).take(5).collect();
+    let missing: Vec<_> = old.iter().filter(|x| !new.contains(x)).take(5).collect();
+    if !extra.is_empty() || !missing.is_empty() {
         panic!("{label}: `{field}` differs: only new {extra:?}, only reference {missing:?}");
     }
+}
+
+/// A map's entries in key order, whatever it hashes with.
+fn sorted<K: Ord + Copy, V: Clone, S>(map: &HashMap<K, V, S>) -> BTreeMap<K, V> {
+    map.iter().map(|(k, v)| (*k, v.clone())).collect()
+}
+
+/// Cross-loop pairs as either profile keeps them.
+type Pairs<S1, S2> = HashMap<(LoopId, LoopId), HashMap<u64, (u64, u64), S2>, S1>;
+
+/// Cross-loop pairs in key order at both levels.
+fn sorted_pairs<S1, S2>(
+    pairs: &Pairs<S1, S2>,
+) -> BTreeMap<(LoopId, LoopId), BTreeMap<u64, (u64, u64)>> {
+    pairs.iter().map(|(k, by_addr)| (*k, sorted(by_addr))).collect()
 }
 
 /// One access-line entry as the comparison sees it (see the module doc).
@@ -115,17 +144,21 @@ fn new_view(e: &AccessLines, ir: &IrProgram) -> LineView {
     }
 }
 
-/// Panic at the first (loop, address) whose projections differ.
+/// Panic at an address listed twice for one loop, or at the first (loop,
+/// address) whose projections differ.
 fn same_access_lines(
     label: &str,
     ir: &IrProgram,
-    new: &HashMap<LoopId, BTreeMap<u64, AccessLines>>,
+    new: &IntMap<LoopId, Vec<(u64, AccessLines)>>,
     old: &HashMap<LoopId, BTreeMap<u64, reference::AccessLines>>,
 ) {
-    let new: BTreeMap<_, _> = new
+    let flat: Vec<_> = new
         .iter()
-        .flat_map(|(l, m)| m.iter().map(move |(a, e)| ((*l, *a), new_view(e, ir))))
+        .flat_map(|(l, entries)| entries.iter().map(move |(a, e)| ((*l, *a), new_view(e, ir))))
         .collect();
+    let listed = flat.len();
+    let new: BTreeMap<_, _> = flat.into_iter().collect();
+    assert_eq!(new.len(), listed, "{label}: `loop_access_lines` lists an address twice in a loop");
     let old: BTreeMap<_, _> =
         old.iter().flat_map(|(l, m)| m.iter().map(move |(a, e)| ((*l, *a), old_view(e)))).collect();
     let keys: BTreeSet<_> = new.keys().chain(old.keys()).collect();
@@ -142,24 +175,24 @@ fn same_profile(label: &str, ir: &IrProgram, new: &ProfileData, old: &reference:
     same_set(label, "deps", &new.deps, &old.deps);
     same_set(label, "region_deps", &new.region_deps, &old.region_deps);
     same_access_lines(label, ir, &new.loop_access_lines, &old.loop_access_lines);
-    assert!(new.cross_loop_pairs == old.cross_loop_pairs, "{label}: `cross_loop_pairs` differs");
-    assert_eq!(new.loop_stats, old.loop_stats, "{label}: `loop_stats` differs");
+    assert!(
+        sorted_pairs(&new.cross_loop_pairs) == sorted_pairs(&old.cross_loop_pairs),
+        "{label}: `cross_loop_pairs` differs"
+    );
+    assert_eq!(sorted(&new.loop_stats), sorted(&old.loop_stats), "{label}: `loop_stats` differs");
     assert!(new.inst_counts == old.inst_counts, "{label}: `inst_counts` differs");
     assert_eq!(new.total_insts, old.total_insts, "{label}: `total_insts` differs");
     assert_eq!(new.runs, old.runs, "{label}: `runs` differs");
 }
 
-/// Profile `src` with both profilers and compare. Returns the new
-/// profile when the run completed, `None` when it faulted.
-fn differential(label: &str, src: &str, limits: ExecLimits) -> Option<ProfileData> {
-    let ast = parse_checked(src).unwrap_or_else(|e| panic!("{label} does not compile: {e}"));
-    let ir = parpat_ir::lower(&ast);
-
-    let mut new = DependenceProfiler::new(&ir);
-    let new_outcome = run(&ir, &mut new, limits);
+/// Profile `ir` with both profilers and compare. Returns the new profile
+/// and whether the run completed.
+fn compare(label: &str, ir: &IrProgram, limits: ExecLimits) -> (ProfileData, bool) {
+    let mut new = DependenceProfiler::new(ir);
+    let new_outcome = run(ir, &mut new, limits);
     let new = new.into_data();
-    let mut old = reference::DependenceProfiler::new(&ir);
-    let old_outcome = run(&ir, &mut old, limits);
+    let mut old = reference::DependenceProfiler::new(ir);
+    let old_outcome = run(ir, &mut old, limits);
     let old = old.into_data();
 
     match (&new_outcome, &old_outcome) {
@@ -167,13 +200,32 @@ fn differential(label: &str, src: &str, limits: ExecLimits) -> Option<ProfileDat
         (Err(a), Err(b)) => assert_eq!(a, b, "{label}: faults differ"),
         _ => panic!("{label}: outcomes differ: {new_outcome:?} vs {old_outcome:?}"),
     }
-    same_profile(label, &ir, &new, &old);
-    if new_outcome.is_err() {
+    same_profile(label, ir, &new, &old);
+    (new, new_outcome.is_ok())
+}
+
+fn lower(label: &str, src: &str) -> IrProgram {
+    let ast = parse_checked(src).unwrap_or_else(|e| panic!("{label} does not compile: {e}"));
+    parpat_ir::lower(&ast)
+}
+
+/// Profile `src` with both profilers and compare. Returns the new
+/// profile when the run completed, `None` when it faulted.
+fn differential(label: &str, src: &str, limits: ExecLimits) -> Option<ProfileData> {
+    let ir = lower(label, src);
+    let (new, completed) = compare(label, &ir, limits);
+    if !completed {
         return None;
     }
     let rejects = sanitize_profile(&ir, &new);
     assert!(rejects.is_empty(), "{label}: sanitizer rejects the profile: {rejects:?}");
     Some(new)
+}
+
+/// Loop `l`'s entry for `addr`.
+fn entry(p: &ProfileData, l: LoopId, addr: u64) -> AccessLines {
+    let found = p.loop_access_lines[&l].iter().find(|(a, _)| *a == addr);
+    found.unwrap_or_else(|| panic!("loop {l} has no entry for address {addr}")).1
 }
 
 #[test]
@@ -261,8 +313,8 @@ fn main() {
 }";
     let p = differential("parameter stores", src, ExecLimits::default()).expect("completes");
     let ir = parpat_ir::compile(src).expect("compiles");
-    let mut lines = p.loop_access_lines.values().flat_map(|m| m.values());
-    assert!(lines.any(|l| l.var_name(&ir).starts_with("<args of")), "parameter stores");
+    let mut lines = p.loop_access_lines.values().flatten();
+    assert!(lines.any(|(_, l)| l.var_name(&ir).starts_with("<args of")), "parameter stores");
 }
 
 #[test]
@@ -360,8 +412,137 @@ fn main() {
         ExecLimits::default(),
     )
     .expect("completes");
-    let g = p.loop_access_lines[&0][&0];
+    let g = entry(&p, 0, 0);
     assert!(g.inter_iteration && g.rewritten, "{g:?}");
+}
+
+#[test]
+fn reads_on_two_lines_in_turn_then_on_a_third() {
+    // Under the one live set {L}, `g[0]` is read at lines 7 and 9 in turn
+    // (the reads' join goes from one line to `Many`), then at line 12.
+    let p = differential(
+        "two lines then a third",
+        "global g[1];
+fn main() {
+    let s = 1;
+    for i in 0..8 {
+        if i < 6 {
+            if i % 2 == 0 {
+                s += g[0];
+            } else {
+                s -= g[0];
+            }
+        } else {
+            s = s * g[0];
+        }
+    }
+    return s;
+}",
+        ExecLimits::default(),
+    )
+    .expect("completes");
+    assert_eq!(entry(&p, 0, 0).read_lines, Lines::Many);
+}
+
+#[test]
+fn live_loop_set_changes_a_then_b_then_a() {
+    // `g[0]` is read and written under {A} at line 4, under {B} at line 13,
+    // then under {A} again at lines 4 and 6. Back in A, the access at line
+    // 6 must be noted: a summary carried over from the earlier sets (lines
+    // 4 and 13, `Many`) would skip it and leave A's entry at one line.
+    let p = differential(
+        "set A, B, A",
+        "global g[1];
+fn in_a(n) {
+    for a in 0..n {
+        g[0] = g[0] + a;
+        if n > 2 {
+            g[0] = g[0] - a;
+        }
+    }
+    return 0;
+}
+fn main() {
+    in_a(2);
+    for b in 0..2 { g[0] = g[0] * b; }
+    in_a(3);
+    return g[0];
+}",
+        ExecLimits::default(),
+    )
+    .expect("completes");
+    let (a, b) = (entry(&p, 0, 0), entry(&p, 1, 0));
+    assert_eq!((a.read_lines, a.write_lines), (Lines::Many, Lines::Many));
+    assert_eq!((b.read_lines, b.write_lines), (Lines::One(13), Lines::One(13)));
+}
+
+#[test]
+fn line_zero_write_after_the_writes_are_many() {
+    // The third store to `s` in each iteration is planted at line 0 the way
+    // the sanitizer's own test plants it. By then the writes' lines are
+    // {4, 5}, `Many`, which holds every line, yet a line-0 write must still
+    // be noted to set `has_line_zero`.
+    let mut ir = lower(
+        "line 0 after many",
+        "fn main() {
+    let s = 0;
+    for i in 0..4 {
+        s += i;
+        s = s * 1;
+        s = s + 0;
+    }
+    return s;
+}",
+    );
+    let planted = (0..ir.inst_count())
+        .find(|&i| {
+            matches!(&ir.insts[i].kind, InstKind::StoreScalar(n) if n == "s")
+                && ir.insts[i].line == 6
+        })
+        .expect("the store at line 6");
+    ir.insts[planted].line = 0;
+    let (p, completed) = compare("line 0 after many", &ir, ExecLimits::default());
+    assert!(completed);
+    let (_, s) = p.loop_access_lines[&0].iter().find(|(_, e)| e.var_name(&ir) == "s").expect("`s`");
+    assert_eq!(s.write_lines, Lines::Many);
+    assert!(s.has_line_zero, "{s:?}");
+    let rejects = sanitize_profile(&ir, &p);
+    assert!(rejects.contains(&"access lines for `s` in loop 0 include line 0".to_owned()));
+}
+
+#[test]
+fn first_read_names_no_variable() {
+    // The loop only reads `s`, twice on line 5; the first read is planted to
+    // name no variable, so the entry's name must come from the second,
+    // which the memo cannot skip for repeating a line it has seen.
+    let mut ir = lower(
+        "nameless first read",
+        "fn main() {
+    let s = 1;
+    let r = 0;
+    for i in 0..3 {
+        let t = s; let u = s;
+        r = r + t + u + i;
+    }
+    return r;
+}",
+    );
+    let first = (0..ir.inst_count())
+        .find(|&i| {
+            matches!(&ir.insts[i].kind, InstKind::LoadScalar(n) if n == "s")
+                && ir.insts[i].line == 5
+        })
+        .expect("a read of `s` at line 5");
+    ir.insts[first].kind = InstKind::LoadScalar(String::new());
+    let (p, completed) = compare("nameless first read", &ir, ExecLimits::default());
+    assert!(completed);
+    assert!(sanitize_profile(&ir, &p).is_empty());
+    let reads: Vec<_> = p.loop_access_lines[&0]
+        .iter()
+        .filter(|(_, e)| e.read_lines == Lines::One(5) && e.write_lines == Lines::None)
+        .map(|(_, e)| e.var_name(&ir))
+        .collect();
+    assert_eq!(reads, vec!["s".to_owned()]);
 }
 
 /// Every instruction that names a variable, with the name the old profile
@@ -417,7 +598,11 @@ fn random_profiles(
         let (l, addr) = (below(rng, 3) as LoopId, below(rng, 4));
         let (o, n) = random_entry(rng, pool);
         old.loop_access_lines.entry(l).or_default().insert(addr, o);
-        new.loop_access_lines.entry(l).or_default().insert(addr, n);
+        let entries = new.loop_access_lines.entry(l).or_default();
+        match entries.iter_mut().find(|(a, _)| *a == addr) {
+            Some((_, e)) => *e = n,
+            None => entries.push((addr, n)),
+        }
     }
     (old, new)
 }
@@ -460,9 +645,10 @@ fn profile_both(ir: &IrProgram, args: &[f64]) -> (reference::ProfileData, Profil
 fn one_one_joins(a: &ProfileData, b: &ProfileData) -> usize {
     let distinct = |x: Lines, y: Lines| matches!((x, y), (Lines::One(p), Lines::One(q)) if p != q);
     let mut n = 0;
-    for (l, by_addr) in &a.loop_access_lines {
-        for (addr, x) in by_addr {
-            if let Some(y) = b.loop_access_lines.get(l).and_then(|m| m.get(addr)) {
+    for (l, entries) in &a.loop_access_lines {
+        for (addr, x) in entries {
+            let mut theirs = b.loop_access_lines.get(l).into_iter().flatten();
+            if let Some((_, y)) = theirs.find(|(a, _)| a == addr) {
                 if distinct(x.write_lines, y.write_lines) || distinct(x.read_lines, y.read_lines) {
                     n += 1;
                 }

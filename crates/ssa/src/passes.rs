@@ -21,6 +21,7 @@ use crate::dom::DomTree;
 use crate::pass::Pass;
 use parpat_ir::ir::Builtin;
 use parpat_minilang::ast::{BinOp, UnOp};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Stable names of the standard roster, in run order.
@@ -106,7 +107,8 @@ impl Pass for ConstFold {
         let dom = DomTree::build(f);
         let mut changed = false;
         for &b in &dom.rpo {
-            for &v in &f.blocks[b].insts.clone() {
+            for i in 0..f.blocks[b].insts.len() {
+                let v = f.blocks[b].insts[i];
                 let num = |x: ValId| match f.insts[x as usize].op {
                     Op::Const(c) => Some(c),
                     _ => None,
@@ -203,16 +205,21 @@ impl Pass for Cse {
     fn run(&mut self, f: &mut SsaFunc) -> bool {
         let children = DomTree::build(f).children();
         let mut replace: Vec<Option<ValId>> = vec![None; f.insts.len()];
-        let mut map: HashMap<Key, ValId> = HashMap::new();
+        // Each key's latest computation and its block. The computation is
+        // available while its block is open, on the preorder path and so
+        // dominating the block being walked; a key whose block has closed
+        // is overwritten by the next computation of it.
+        let mut map: HashMap<Key, (ValId, BlockId)> = HashMap::new();
+        let mut open = vec![false; f.blocks.len()];
         let mut changed = false;
-        // Preorder over the dominator tree with an undo log per block.
-        let mut frames: Vec<(BlockId, usize, Vec<Key>)> = vec![(0, 0, Vec::new())];
-        let mut entered = vec![false; f.blocks.len()];
+        // Preorder over the dominator tree: (block, next child).
+        let mut frames: Vec<(BlockId, usize)> = vec![(0, 0)];
         while let Some(frame) = frames.last_mut() {
-            let b = frame.0;
-            if !std::mem::replace(&mut entered[b], true) {
-                let mut inserted = Vec::new();
-                for &v in &f.blocks[b].insts.clone() {
+            let (b, next) = *frame;
+            if next == 0 {
+                open[b] = true;
+                for i in 0..f.blocks[b].insts.len() {
+                    let v = f.blocks[b].insts[i];
                     let vi = v as usize;
                     if matches!(f.insts[vi].op, Op::Phi { .. }) {
                         continue; // back-edge args resolve in the final sweep
@@ -220,29 +227,23 @@ impl Pass for Cse {
                     let mut op = std::mem::replace(&mut f.insts[vi].op, Op::Dead);
                     op.for_each_operand_mut(|o| *o = resolve(&replace, *o));
                     if let Some(key) = key_of(&op) {
-                        if let Some(&prev) = map.get(&key) {
-                            replace[vi] = Some(prev);
-                            changed = true;
-                            continue; // op stays Dead; dropped in the sweep
-                        }
-                        map.insert(key, v);
-                        // Reconstruct the key for the undo log (Key is not
-                        // Clone on purpose — ValId vectors are cheap).
-                        if let Some(k2) = key_of(&op) {
-                            inserted.push(k2);
+                        match map.entry(key) {
+                            Entry::Occupied(e) if open[e.get().1] => {
+                                replace[vi] = Some(e.get().0);
+                                changed = true;
+                                continue; // op stays Dead; dropped in the sweep
+                            }
+                            entry => *entry.or_insert((v, b)) = (v, b),
                         }
                     }
                     f.insts[vi].op = op;
                 }
-                frame.2 = inserted;
             }
-            if let Some(&c) = children[b].get(frame.1) {
+            if let Some(&c) = children[b].get(next) {
                 frame.1 += 1;
-                frames.push((c, 0, Vec::new()));
+                frames.push((c, 0));
             } else {
-                for k in frame.2.drain(..) {
-                    map.remove(&k);
-                }
+                open[b] = false;
                 frames.pop();
             }
         }
