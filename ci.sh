@@ -5,6 +5,9 @@ set -eux
 
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
+# Docs gate: every intra-doc link resolves and no doc comment warns, so a
+# renamed or deleted item cannot leave a dangling link behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 cargo build --release
 cargo test --workspace -q
 # Fault-injection suite: every (stage x fault mode x job count) must leave
@@ -92,9 +95,3 @@ cargo test -q -p parpat-serve --test drain
 # shed rate, and emit its JSON report under target/tmp (not the checkout).
 cargo bench -p parpat-bench --bench serve
 test -s target/tmp/BENCH_serve.json
-# Static-analysis benchmark: end-to-end lint throughput over the suite
-# (asserted under 50 ms/program inside the bench) and the per-pass wall
-# time of the SSA optimization pipeline, emitted as a JSON report under
-# target/tmp.
-cargo bench -p parpat-bench --bench static
-test -s target/tmp/BENCH_static.json

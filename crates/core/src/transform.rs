@@ -1,6 +1,6 @@
 //! Transformation suggestions — the paper's future-work loop optimizations
 //! (Section VI: "We plan to support more parallel patterns and loop
-//! optimizations such [as] peeling and fission").
+//! optimizations such \[as\] peeling and fission").
 //!
 //! - **Peeling**: a detected multi-loop pipeline with a small non-zero
 //!   intercept `b` aligns perfectly after peeling |b| iterations — exactly

@@ -401,8 +401,8 @@ mod tests {
             input_sensitive: 4,
             consistency_errors: 5,
             ssa_passes: vec![
-                SsaPassStats { name: "const_fold", runs: 85, wall: Duration::from_micros(120) },
-                SsaPassStats { name: "cse", runs: 85, wall: Duration::from_micros(95) },
+                SsaPassStats { name: "cse", runs: 85, wall: Duration::from_micros(120) },
+                SsaPassStats { name: "licm", runs: 85, wall: Duration::from_micros(95) },
             ],
             verified: 16,
             sanitizer_rejects: 2,
@@ -439,10 +439,7 @@ mod tests {
         assert!(
             text.contains("21 proven-do-all loop(s), 4 input-sensitive, 5 consistency error(s)")
         );
-        assert!(
-            text.contains("ssa passes: const_fold 85\u{d7}/120µs, cse 85\u{d7}/95µs"),
-            "{text}"
-        );
+        assert!(text.contains("ssa passes: cse 85\u{d7}/120µs, licm 85\u{d7}/95µs"), "{text}");
         assert!(text.contains("16 verified, 2 sanitizer reject(s), 1 miscompile(s)"));
     }
 
@@ -474,9 +471,8 @@ mod tests {
         assert!(json.contains("\"served_from_cache\": 17"));
         assert!(json.contains("\"funcs_reanalyzed\": 3"));
         assert!(json.contains("\"static_proven_doall\": 21"));
-        assert!(json.contains(
-            "\"ssa_passes\": [{\"pass\": \"const_fold\", \"runs\": 85, \"wall_ns\": 120000}"
-        ));
+        assert!(json
+            .contains("\"ssa_passes\": [{\"pass\": \"cse\", \"runs\": 85, \"wall_ns\": 120000}"));
         assert!(json.contains("\"input_sensitive\": 4"));
         assert!(json.contains("\"consistency_errors\": 5"));
         assert!(json.contains("\"verified\": 16"));

@@ -18,7 +18,7 @@
 //! The checker accumulates *every* violation it can find ([`check_all`])
 //! rather than stopping at the first one, so tools like `parpat lint` can
 //! show a complete picture in one pass. After an expression fails to type,
-//! its uses are not re-reported (cascade suppression): [`Checker::ty`]
+//! its uses are not re-reported (cascade suppression): `Checker::ty`
 //! returns `None` for "already diagnosed" and callers stay silent on it.
 //! [`check`] keeps the original stop-at-first contract on top.
 

@@ -3,9 +3,9 @@
 //! Section III-A: "If there is a chain dependence of n loops, it gives n
 //! pairs of relationships. A pipeline of n stages can be easily implemented
 //! by merging the information provided by the tool." This module is that
-//! merge: it takes one [`PipelineSpec`]-like link per adjacent loop pair
-//! and runs all stages concurrently, each stage's iteration released by its
-//! predecessor's completed prefix.
+//! merge: it takes one [`PipelineSpec`](crate::pipeline::PipelineSpec)-like
+//! link per adjacent loop pair and runs all stages concurrently, each
+//! stage's iteration released by its predecessor's completed prefix.
 
 use crate::pipeline::PrefixTracker;
 

@@ -2,10 +2,10 @@
 //!
 //! [`parpat_ir`] keeps programs as structured statement trees — the right
 //! shape for the paper's region/loop detectors, the wrong shape for serious
-//! dataflow. This crate lowers each [`parpat_ir::IrFunction`] into a
+//! dataflow. This crate lowers each [`parpat_ir::ir::IrFunction`] into a
 //! classical compiler midsection:
 //!
-//! 1. [`cfg`] — basic blocks + explicit terminators, lowered directly from
+//! 1. [`mod@cfg`] — basic blocks + explicit terminators, lowered directly from
 //!    the statement tree (short-circuit `&&`/`||` become control flow,
 //!    `for` machinery gets a hidden counter slot so user writes to the
 //!    induction variable cannot perturb iteration — exactly the tree
@@ -16,9 +16,9 @@
 //!    stack-based renaming, promoting every scalar slot to SSA values;
 //! 4. [`pass`] — a [`Pass`] trait and [`PassManager`] that verifies the
 //!    function after every pass and records per-pass wall time;
-//! 5. [`passes`] — the initial roster: constant folding, global value
-//!    numbering (CSE), copy propagation (trivial-phi elimination),
-//!    loop-invariant code motion, and value-range analysis;
+//! 5. [`passes`] — the roster: dominator-scoped value numbering (CSE),
+//!    then loop-invariant code motion, the two passes that change a
+//!    static dependence verdict;
 //! 6. [`verify`] — structural invariants (every use dominated by its def,
 //!    phi arity matching predecessors, coherent edges);
 //! 7. [`exec`] — an SSA executor with the tree interpreter's exact
@@ -45,7 +45,7 @@ pub use cfg::{Block, BlockId, CfgLoop, Inst, Op, SsaFunc, SsaProgram, Term, ValI
 pub use dom::DomTree;
 pub use exec::{run_ssa, SsaCapture, SsaExecError, SsaLimits};
 pub use pass::{Pass, PassManager, PassTiming};
-pub use passes::{standard_pipeline, ValueRanges, PASS_NAMES};
+pub use passes::{standard_pipeline, PASS_NAMES};
 pub use ssa::promote_to_ssa;
 pub use verify::{verify_func, SsaViolation, SsaViolationKind};
 

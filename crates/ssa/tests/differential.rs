@@ -17,7 +17,7 @@
 use parpat_ir::event::NullObserver;
 use parpat_ir::{run_function_captured, ExecLimits, IrProgram};
 use parpat_minilang::{genprog, parse_checked};
-use parpat_ssa::{build_optimized, run_ssa, SsaExecError, SsaLimits};
+use parpat_ssa::{build_optimized, run_ssa, SsaExecError, SsaLimits, PASS_NAMES};
 
 /// f64 agreement: bit-identical, or both NaN.
 fn same(a: f64, b: f64) -> bool {
@@ -30,9 +30,11 @@ fn same(a: f64, b: f64) -> bool {
 fn differential(label: &str, src: &str, ir: &IrProgram) -> bool {
     let (ssa, timings) = build_optimized(ir)
         .unwrap_or_else(|v| panic!("verifier rejected {label}: {v} (kind {:?})\n{src}", v.kind));
+    let names: Vec<&str> = timings.iter().map(|t| t.name).collect();
+    assert_eq!(names, PASS_NAMES, "{label}: the pass manager runs the standard roster in order");
     assert!(
-        timings.len() >= 4,
-        "{label}: the pass manager must run at least four passes, got {timings:?}"
+        timings.iter().all(|t| t.runs > 0),
+        "{label}: every roster pass must run, got {timings:?}"
     );
     let Some(entry) = ir.entry else {
         return false;

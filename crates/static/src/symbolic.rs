@@ -9,9 +9,9 @@
 //! value whose defining block lies outside the analyzed loop's body is
 //! provably invariant across its iterations.
 //!
-//! Each subscript dimension is classified as [`SymDim::Outer`] (the
-//! existing affine form), [`SymDim::Inner`] (an inner counted loop's
-//! induction plus a constant), or [`SymDim::Opaque`]. Two rules then map
+//! Each subscript dimension is classified as `SymDim::Outer` (the
+//! existing affine form), `SymDim::Inner` (an inner counted loop's
+//! induction plus a constant), or `SymDim::Opaque`. Two rules then map
 //! dimension pairs onto the shared [`DimRel`] lattice so the per-pair
 //! conjunction in [`crate::subscript::pair_dep`] is reused verbatim:
 //!

@@ -7,8 +7,11 @@
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test --test lint_golden
 //! ```
+//!
+//! The same suite also bounds lint's cost: 50 ms per program on average.
 
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/lint_apps.json")
@@ -56,4 +59,19 @@ fn suite_lint_has_no_language_errors() {
             );
         }
     }
+}
+
+#[test]
+fn suite_lint_averages_under_50_ms_per_program() {
+    // Lint is what an editor or a CI hook runs on every save, end to end:
+    // parse, lower, SSA passes, dependence tests and diagnostics.
+    let apps = parpat::suite::all_apps();
+    let start = Instant::now();
+    let diags: usize = apps.iter().map(|app| parpat::statics::lint_source(app.model).len()).sum();
+    let per_program = start.elapsed() / apps.len() as u32;
+    assert!(diags > 0, "the suite produces diagnostics");
+    assert!(
+        per_program <= Duration::from_millis(50),
+        "linting a suite program averages {per_program:?}, over 50 ms"
+    );
 }
